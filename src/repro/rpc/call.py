@@ -1,4 +1,8 @@
-"""Wire-level RPC objects: Invocation, Call, headers, status, errors."""
+"""Wire-level RPC objects: Invocation, Call, headers, status, errors.
+
+How these objects are laid out in request, response and batch frames
+is owned by :mod:`repro.rpc.frames`.
+"""
 
 from __future__ import annotations
 
@@ -99,19 +103,6 @@ class RetriesExhaustedError(ConnectionError):
         super().__init__(message)
         self.attempts = attempts
         self.cause = cause
-
-
-#: Reserved call id for connection-keepalive ping frames (Hadoop's
-#: ``Client.PING_CALL_ID``); never allocated to a real call.
-PING_CALL_ID = -1
-
-#: Reserved call id prefacing a *batched* frame from a multiplexed
-#: client (:mod:`repro.rpc.mux`).  The frame payload carries
-#: ``[BATCH_CALL_ID][count]`` followed by ``count`` length-prefixed
-#: per-call frames, each byte-identical to what the call-at-a-time path
-#: would have framed on its own.  A server that has decoded one marks
-#: the connection batch-aware and may merge its responses the same way.
-BATCH_CALL_ID = -2
 
 
 @writable_factory

@@ -23,6 +23,12 @@ so a failed endpoint bootstrap or a QP that breaks mid-stream falls
 back to :class:`SocketConnection` transparently — in-flight calls are
 re-issued, the ``rpc.ib.fallbacks`` counter records the event, and the
 active span is annotated.
+
+The wire format is not defined here: :mod:`repro.rpc.frames` is its
+single owner.  Each engine encodes a call through one ``_encode_call``
+(shared with the multiplexed subclasses), and every receive loop decodes
+through ``frames.read_responses`` — a single response is the one-entry
+case of a batch — and settles through :meth:`BaseConnection._settle`.
 """
 
 from __future__ import annotations
@@ -34,10 +40,9 @@ from typing import Dict, List, Optional, Set, Tuple, Type
 from repro.calibration import CostModel, NetworkSpec
 from repro.config import Configuration
 from repro.io.data_input import DataInputBuffer
-from repro.io.data_output import DataOutputBuffer, DataOutputStream
-from repro.io.buffered import BufferedOutputStream, VectorSink
+from repro.io.data_output import DataOutputBuffer
 from repro.io.rdma_streams import RDMAInputStream, RDMAOutputStream
-from repro.io.writable import ObjectWritable, Writable
+from repro.io.writable import Writable
 from repro.mem.cost import CostLedger
 from repro.mem.native_pool import build_pool
 from repro.mem.shadow_pool import HistoryShadowPool
@@ -52,11 +57,10 @@ from repro.net.verbs import (
     QueuePair,
 )
 from repro.obs.trace import NULL_SPAN
+from repro.rpc import frames
 from repro.rpc.call import (
     Call,
     ConnectionHeader,
-    Invocation,
-    PING_CALL_ID,
     RemoteException,
     RetriableException,
     RetriesExhaustedError,
@@ -65,6 +69,7 @@ from repro.rpc.call import (
     ServerOverloadedException,
     StandbyException,
 )
+from repro.rpc.frames import PING_CALL_ID
 from repro.rpc.metrics import CallProfile, RpcMetrics
 from repro.rpc.protocol import RpcProtocol
 from repro.simcore.process import Process
@@ -80,6 +85,20 @@ class IBBootstrapError(ConnectionError):
 #: it must never collide with a per-protocol key (protocol names are
 #: dotted identifiers, never dunder strings).
 MUX_CONNECTION_KEY = "__mux__"
+
+
+#: Values the ``ipc.client.*.retry.policy`` keys accept.
+RETRY_POLICIES = ("fixed", "exponential")
+
+
+def retry_policy(conf: Configuration, key: str) -> str:
+    """Read a retry-policy key; a typo must not silently mean ``fixed``."""
+    policy = str(conf.get(key))
+    if policy not in RETRY_POLICIES:
+        raise ValueError(
+            f"{key}={policy!r}: expected one of {', '.join(RETRY_POLICIES)}"
+        )
+    return policy
 
 
 def _backoff_us(interval_us: float, attempt: int, policy: str) -> float:
@@ -386,7 +405,7 @@ class Client:
         conf = self.conf
         max_retries = conf.get_int("ipc.client.connect.max.retries")
         interval_us = conf.get_float("ipc.client.connect.retry.interval")
-        policy = str(conf.get("ipc.client.connect.retry.policy", "fixed"))
+        policy = retry_policy(conf, "ipc.client.connect.retry.policy")
         if self._call_conf()[4]:
             # Imported lazily: repro.rpc.mux subclasses the connection
             # classes below, so a module-level import would be circular.
@@ -515,7 +534,52 @@ class BaseConnection:
         self._heap = client.node.heap("rpc-client")
 
     # subclasses: setup() generator, send_call(call) generator,
-    # _send_ping() generator, close()
+    # _encode_call(call, ledger), _send_ping() generator, close()
+
+    def _serialize(self, call: Call, parent):
+        """Encode ``call`` in the caller's thread and register it.
+
+        Returns ``(span, ledger, encoded, serialization_us)``; the
+        caller pays ``ledger.drain()`` on the sim clock, then closes
+        the ``rpc.serialize`` span with :meth:`_end_serialize`.
+        ``encoded`` is ``_encode_call``'s ``(payload, length,
+        adjustments, annotations)``.
+        """
+        sspan = self.client.fabric.tracer.start(
+            "rpc.serialize", parent=parent, node=self.client.node.name,
+            category="rpc.client",
+        )
+        ledger = CostLedger(self.model)
+        encoded = self._encode_call(call, ledger)
+        serialization_us = ledger.total_us
+        self.calls[call.id] = call
+        return sspan, ledger, encoded, serialization_us
+
+    @staticmethod
+    def _end_serialize(sspan, encoded) -> None:
+        _, length, adjustments, annotations = encoded
+        for key, value in annotations:
+            sspan.annotate(key, value)
+        sspan.annotate("adjustments", adjustments)
+        sspan.annotate("message_bytes", length)
+        sspan.end()
+
+    def _settle(self, responses, receive_start: float, **tags) -> None:
+        """Complete every response of one received frame (one wakeup),
+        closing each traced call's ``rpc.recv`` span with ``tags``."""
+        tracer = self.client.fabric.tracer
+        for call_id, status, value, error_cls, error_msg in responses:
+            call = self.calls.get(call_id)
+            if call is not None and call.span is not None:
+                tracer.complete(
+                    "rpc.recv", receive_start, self.env.now, parent=call.span,
+                    node=self.client.node.name, category="rpc.client", **tags,
+                )
+            self._complete(call_id, status, value, error_cls, error_msg)
+        self._note_activity()
+        # Re-arm the keeper: its sleep was computed while these calls
+        # were outstanding (ping cadence); idle teardown now applies.
+        self._wake_keeper()
 
     def _complete(self, call_id: int, status: int, value, error_cls="", error_msg=""):
         call = self.calls.pop(call_id, None)
@@ -647,7 +711,7 @@ class SocketConnection(BaseConnection):
         ledger = CostLedger(self.model)
         buf = DataOutputBuffer(ledger)
         ConnectionHeader(self.protocol_name, self.protocol.VERSION).write(buf)
-        frame = self._frame(buf, ledger)
+        frame = frames.stream_frame(ledger, buf.get_view(), buf.get_length())
         yield self.env.timeout(ledger.drain())
         self._absorb(ledger)
         yield self.sock.send(frame)
@@ -656,50 +720,27 @@ class SocketConnection(BaseConnection):
         )
         self._start_keeper()
 
-    @staticmethod
-    def _frame(buf: DataOutputBuffer, ledger: CostLedger) -> list:
-        """Length-prefix ``buf`` through the buffered stream path
-        (Listing 1 lines 10-13), charging its copies.
-
-        Returns the frame as a list of chunks (gather write): the
-        serialized message travels as a zero-copy ``get_view`` and the
-        transport materializes the wire image exactly once.
-        """
-        sink = VectorSink()
-        buffered = BufferedOutputStream(sink, ledger)
-        out = DataOutputStream(buffered, ledger)
-        out.write_int(buf.get_length())
-        buffered.write_bytes(buf.get_view())
-        out.flush()
-        return sink.chunks
+    def _encode_call(self, call: Call, ledger: CostLedger):
+        """Listing 1 serialization into a growable DataOutputBuffer."""
+        buf = DataOutputBuffer(ledger, initial_size=self.client._call_conf()[3])
+        frames.write_call(buf, call.id, call.method, call.params)
+        # the view stays valid: the buffer is never written again.
+        return buf.get_view(), buf.get_length(), buf.adjustments, ()
 
     def send_call(self, call: Call):
         """Listing 1: serialize into a DataOutputBuffer, then send."""
-        tracer = self.client.fabric.tracer
         parent = call.span if call.span is not None else NULL_SPAN
-        sspan = tracer.start(
-            "rpc.serialize", parent=parent, node=self.client.node.name,
-            category="rpc.client",
-        )
-        ledger = CostLedger(self.model)
-        initial = self.client._call_conf()[3]
-        buf = DataOutputBuffer(ledger, initial_size=initial)
-        buf.write_int(call.id)
-        Invocation(call.method, call.params).write(buf)
-        serialization_us = ledger.total_us
-        message_bytes = buf.get_length()
-        self.calls[call.id] = call
+        sspan, ledger, encoded, serialization_us = self._serialize(call, parent)
         yield self.env.timeout(ledger.drain())
-        sspan.annotate("adjustments", buf.adjustments)
-        sspan.annotate("message_bytes", message_bytes)
-        sspan.end()
+        self._end_serialize(sspan, encoded)
+        payload, message_bytes, adjustments, _ = encoded
 
         send_start = self.env.now
-        dspan = tracer.start(
+        dspan = self.client.fabric.tracer.start(
             "rpc.send", parent=parent, node=self.client.node.name,
             category="rpc.client",
         )
-        frame = self._frame(buf, ledger)
+        frame = frames.stream_frame(ledger, payload, message_bytes)
         yield self.env.timeout(ledger.drain())
         ref = parent.context  # None when tracing is disabled
         if ref is not None:
@@ -713,7 +754,7 @@ class SocketConnection(BaseConnection):
         self._note_activity()
         self._wake_keeper()
         return {
-            "adjustments": buf.adjustments,
+            "adjustments": adjustments,
             "serialization_us": serialization_us,
             "send_us": send_us,
             "message_bytes": message_bytes,
@@ -724,7 +765,7 @@ class SocketConnection(BaseConnection):
         ledger = CostLedger(self.model)
         buf = DataOutputBuffer(ledger)
         buf.write_int(PING_CALL_ID)
-        frame = self._frame(buf, ledger)
+        frame = frames.stream_frame(ledger, buf.get_view(), buf.get_length())
         yield self.env.timeout(ledger.drain())
         self._absorb(ledger)
         yield self.sock.send(frame)
@@ -732,7 +773,6 @@ class SocketConnection(BaseConnection):
     def _receive_loop(self):
         """Connection thread: read responses, complete waiting callers."""
         sw = self.model.software
-        tracer = self.client.fabric.tracer
         while not self.closed:
             try:
                 header = yield self.sock.recv(4)
@@ -750,29 +790,10 @@ class SocketConnection(BaseConnection):
             except SocketClosed:
                 break
             ledger.charge_copy(length)
-            inp = DataInputBuffer(payload, ledger)
-            call_id = inp.read_int()
-            status = inp.read_byte()
-            value = error_cls = error_msg = None
-            if status == RpcStatus.SUCCESS:
-                value = ObjectWritable.read(inp)
-            else:
-                error_cls = inp.read_utf()
-                error_msg = inp.read_utf()
+            responses = frames.read_responses(DataInputBuffer(payload, ledger))
             yield self.env.timeout(ledger.drain() + sw.thread_handoff_us)
             self._absorb(ledger)
-            call = self.calls.get(call_id)
-            if call is not None and call.span is not None:
-                tracer.complete(
-                    "rpc.recv", receive_start, self.env.now, parent=call.span,
-                    node=self.client.node.name, category="rpc.client",
-                    response_bytes=length,
-                )
-            self._complete(call_id, status, value, error_cls or "", error_msg or "")
-            self._note_activity()
-            # Re-arm the keeper: its sleep was computed while this call
-            # was outstanding (ping cadence); idle teardown now applies.
-            self._wake_keeper()
+            self._settle(responses, receive_start, response_bytes=length)
         self.closed = True
         self.client._forget(self)
         self._fail_all(SocketClosed("connection closed"))
@@ -840,38 +861,33 @@ class IBConnection(BaseConnection):
     def rdma_threshold(self) -> int:
         return self.client.conf.get_int("rpc.ib.rdma.threshold")
 
-    def send_call(self, call: Call):
-        """Serialize straight into a pooled registered buffer and post."""
-        tracer = self.client.fabric.tracer
-        parent = call.span if call.span is not None else NULL_SPAN
-        sspan = tracer.start(
-            "rpc.serialize", parent=parent, node=self.client.node.name,
-            category="rpc.client",
-        )
+    def _encode_call(self, call: Call, ledger: CostLedger):
+        """JVM-bypass serialization into a pooled registered buffer.
+
+        The annotations record Section III-C pool behaviour: whether
+        the size-history prediction held, and any pool-doubling growths
+        (RPCoIB's analogue of Algorithm-1 adjustments).
+        """
         pool = self.client.pool
         predicted = pool.predicted_size(self.protocol_name, call.method)
-        ledger = CostLedger(self.model)
-        out = RDMAOutputStream(
-            self.client.pool, self.protocol_name, call.method, ledger
+        out = RDMAOutputStream(pool, self.protocol_name, call.method, ledger)
+        frames.write_call(out, call.id, call.method, call.params)
+        annotations = (
+            ("pool_predicted_bytes", predicted),
+            ("pool_hit", out.grow_count == 0),
         )
-        out.write_int(call.id)
-        Invocation(call.method, call.params).write(out)
-        serialization_us = ledger.total_us
-        message_bytes = out.get_length()
-        adjustments = out.grow_count
-        self.calls[call.id] = call
+        return out, out.get_length(), out.grow_count, annotations
+
+    def send_call(self, call: Call):
+        """Serialize straight into a pooled registered buffer and post."""
+        parent = call.span if call.span is not None else NULL_SPAN
+        sspan, ledger, encoded, serialization_us = self._serialize(call, parent)
         yield self.env.timeout(ledger.drain())
-        # Section III-C pool behaviour as span annotations: whether the
-        # size-history prediction held, and any pool-doubling growths
-        # (RPCoIB's analogue of Algorithm-1 adjustments).
-        sspan.annotate("pool_predicted_bytes", predicted)
-        sspan.annotate("pool_hit", adjustments == 0)
-        sspan.annotate("adjustments", adjustments)
-        sspan.annotate("message_bytes", message_bytes)
-        sspan.end()
+        self._end_serialize(sspan, encoded)
+        out, message_bytes, adjustments, _ = encoded
 
         send_start = self.env.now
-        dspan = tracer.start(
+        dspan = self.client.fabric.tracer.start(
             "rpc.send", parent=parent, node=self.client.node.name,
             category="rpc.client",
         )
@@ -928,8 +944,10 @@ class IBConnection(BaseConnection):
         self._absorb(ledger)
 
     def _receive_loop(self):
+        """Poll the QP; one completion settles every response it carries
+        (a multiplexed connection's merged responses free their window
+        slots together, which keeps its sender's batches big)."""
         sw = self.model.software
-        tracer = self.client.fabric.tracer
         while not self.closed:
             message = yield self.qp.recv()
             if isinstance(message, QPBreak):
@@ -938,29 +956,15 @@ class IBConnection(BaseConnection):
                 return
             receive_start = self.env.now
             ledger = CostLedger(self.model)
-            inp = RDMAInputStream(message.data, message.length, ledger)
-            call_id = inp.read_int()
-            status = inp.read_byte()
-            value = error_cls = error_msg = None
-            if status == RpcStatus.SUCCESS:
-                value = ObjectWritable.read(inp)
-            else:
-                error_cls = inp.read_utf()
-                error_msg = inp.read_utf()
+            responses = frames.read_responses(
+                RDMAInputStream(message.data, message.length, ledger)
+            )
             yield self.env.timeout(ledger.drain() + sw.thread_handoff_us)
             self._absorb(ledger)
-            call = self.calls.get(call_id)
-            if call is not None and call.span is not None:
-                tracer.complete(
-                    "rpc.recv", receive_start, self.env.now, parent=call.span,
-                    node=self.client.node.name, category="rpc.client",
-                    response_bytes=message.length, eager=message.eager,
-                )
-            self._complete(call_id, status, value, error_cls or "", error_msg or "")
-            self._note_activity()
-            # Re-arm the keeper: its sleep was computed while this call
-            # was outstanding (ping cadence); idle teardown now applies.
-            self._wake_keeper()
+            self._settle(
+                responses, receive_start,
+                response_bytes=message.length, eager=message.eager,
+            )
 
     def _engine_failed(self, reason: str) -> None:
         """The QP broke: close this engine and migrate in-flight calls

@@ -21,12 +21,17 @@ aggregation designs of Ibdxnet and RDMAbox (PAPERS.md) and the
   the encoded payload; one sender process drains the queue under a
   bounded in-flight window (``ipc.client.async.max-inflight``,
   hot-reloadable) and frames *every* queued call into one
-  ``BATCH_CALL_ID`` wire frame, flushed once through the existing
+  batch wire frame, flushed once through the existing
   vectored-write path — N small calls cost one wire operation.
-* **Demultiplexing receive loop** — responses (plain or server-merged
+* **Demultiplexing receive** — responses (plain or server-merged
   batches) are matched to callers by call id; each call's time between
   enqueue and actual send is recorded as an ``rpc.mux.queue`` span so
-  batching is visible in traces.
+  batching is visible in traces.  The RPCoIB mux reuses the engine's
+  own receive loop; the socket mux keeps a bulk-read loop (its syscall
+  schedule differs) but decodes and settles through the same code.
+* **One wire format** — batch frames, their entries and the responses
+  are written and read by :mod:`repro.rpc.frames`, the codec the
+  call-at-a-time path uses too; this module only queues and flushes.
 * **Failure semantics carry over to the whole window** — deadlines
   expire queued and in-flight calls alike, ``close()`` fails every
   outstanding caller exactly once, and a QP break migrates the entire
@@ -39,15 +44,13 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Set, Tuple
 
-from repro.io.buffered import BufferedOutputStream, VectorSink
 from repro.io.data_input import DataInputBuffer
-from repro.io.data_output import DataOutputBuffer, DataOutputStream
-from repro.io.rdma_streams import RDMAInputStream, RDMAOutputStream
-from repro.io.writable import ObjectWritable
+from repro.io.data_output import DataOutputBuffer
 from repro.mem.cost import CostLedger
 from repro.net.sockets import SocketClosed
-from repro.net.verbs import QPBreak, QPBrokenError
-from repro.rpc.call import BATCH_CALL_ID, Call, Invocation, RpcStatus
+from repro.net.verbs import QPBrokenError
+from repro.rpc import frames
+from repro.rpc.call import Call
 from repro.rpc.client import (
     IBConnection,
     MUX_CONNECTION_KEY,
@@ -74,7 +77,9 @@ class ConnectionMux:
     #: before every batch, so a live retune takes effect immediately.
     RELOADABLE_KEYS = frozenset({"ipc.client.async.max-inflight"})
 
-    def _init_mux(self) -> None:
+    def __init__(self, client, address, protocol):
+        super().__init__(client, address, protocol)
+        self.conn_key = (address, MUX_CONNECTION_KEY)
         #: encoded calls awaiting a window slot:
         #: (call, payload, length, enqueued_at).
         self._send_queue: Deque[Tuple[Call, object, int, float]] = deque()
@@ -89,6 +94,12 @@ class ConnectionMux:
         self.calls_batched = 0
         self.max_batch = 0
         self.max_inflight_seen = 0
+
+    def setup(self):
+        yield from super().setup()
+        self._sender = self.env.process(
+            self._sender_loop(), name=f"rpc-mux-send:{self.client.name}"
+        )
 
     @property
     def window(self) -> int:
@@ -111,27 +122,13 @@ class ConnectionMux:
         """
         if self.closed:
             raise SocketClosed(f"{self.client.name}: mux connection closed")
-        tracer = self.client.fabric.tracer
-        parent = call.span
-        sspan = tracer.start(
-            "rpc.serialize",
-            parent=parent,
-            node=self.client.node.name,
-            category="rpc.client",
+        sspan, ledger, encoded, serialization_us = self._serialize(
+            call, call.span
         )
-        ledger = CostLedger(self.model)
-        payload, length, adjustments, annotations = self._encode_call(
-            call, ledger
-        )
-        serialization_us = ledger.total_us
-        self.calls[call.id] = call
         yield self.env.timeout(ledger.drain())
         self._absorb(ledger)
-        for key, value in annotations:
-            sspan.annotate(key, value)
-        sspan.annotate("adjustments", adjustments)
-        sspan.annotate("message_bytes", length)
-        sspan.end()
+        self._end_serialize(sspan, encoded)
+        payload, length, adjustments, _ = encoded
         self._send_queue.append((call, payload, length, self.env.now))
         self._wake_sender()
         self._note_activity()
@@ -146,11 +143,6 @@ class ConnectionMux:
         }
 
     # -- sender -----------------------------------------------------------
-    def _start_sender(self) -> None:
-        self._sender = self.env.process(
-            self._sender_loop(), name=f"rpc-mux-send:{self.client.name}"
-        )
-
     def _wake_sender(self) -> None:
         if self._sender_kick is not None and not self._sender_kick.triggered:
             self._sender_kick.succeed()
@@ -265,85 +257,27 @@ class ConnectionMux:
         # receive-loop teardown is a no-op.)
         self._fail_all(SocketClosed(f"{self.client.name}: mux closed"))
 
-    # -- shared response parsing ------------------------------------------
-    @staticmethod
-    def _read_response(call_id: int, inp):
-        status = inp.read_byte()
-        value = error_cls = error_msg = None
-        if status == RpcStatus.SUCCESS:
-            value = ObjectWritable.read(inp)
-        else:
-            error_cls = inp.read_utf()
-            error_msg = inp.read_utf()
-        return call_id, status, value, error_cls, error_msg
-
-
-def batch_frame_chunks(payloads) -> List[object]:
-    """The batch wire image as a chunk list (pure helper, no costs).
-
-    ``[4-byte total][BATCH_CALL_ID][count]`` then, per call, the exact
-    per-call frame (``[4-byte length][payload]``) the call-at-a-time
-    path would have sent: the batch body after the 8-byte batch header
-    is the *concatenation of the per-call frames* — the property the
-    hypothesis suite pins down.
-    """
-    total = 8 + sum(4 + len(payload) for payload in payloads)
-    chunks: List[object] = [
-        total.to_bytes(4, "big", signed=True)
-        + BATCH_CALL_ID.to_bytes(4, "big", signed=True)
-        + len(payloads).to_bytes(4, "big", signed=True)
-    ]
-    for payload in payloads:
-        chunks.append(len(payload).to_bytes(4, "big", signed=True))
-        chunks.append(payload)
-    return chunks
-
-
-def call_frame_bytes(payload) -> bytes:
-    """The call-at-a-time wire frame for one encoded call payload."""
-    return len(payload).to_bytes(4, "big", signed=True) + bytes(payload)
+    def _settle(self, responses, receive_start: float, **tags) -> None:
+        # One connection-thread wakeup settles the whole frame: the
+        # window slots of a merged batch free *together*, so the sender
+        # immediately refills them with an equally big batch (this is
+        # what keeps adaptive batching self-sustaining).
+        super()._settle(responses, receive_start, **tags, batched=len(responses))
 
 
 class MuxSocketConnection(ConnectionMux, SocketConnection):
     """Sockets-engine mux: batched frames through the vectored path."""
 
-    def __init__(self, client, address, protocol):
-        super().__init__(client, address, protocol)
-        self._init_mux()
-        self.conn_key = (address, MUX_CONNECTION_KEY)
-
-    def setup(self):
-        yield from super().setup()
-        self._start_sender()
-
-    def _encode_call(self, call: Call, ledger: CostLedger):
-        """Listing 1 serialization, in the caller's own thread."""
-        initial = self.client._call_conf()[3]
-        buf = DataOutputBuffer(ledger, initial_size=initial)
-        buf.write_int(call.id)
-        Invocation(call.method, call.params).write(buf)
-        # the view stays valid: the buffer is never written again.
-        return buf.get_view(), buf.get_length(), buf.adjustments, ()
-
     def _send_batch(self, batch):
         """Frame every queued call into one flush (get_view framing)."""
-        tracer = self.client.fabric.tracer
         ledger = CostLedger(self.model)
-        sink = VectorSink()
-        buffered = BufferedOutputStream(sink, ledger)
-        out = DataOutputStream(buffered, ledger)
-        total = 8 + sum(4 + length for _, _, length, _ in batch)
-        out.write_int(total)
-        out.write_int(BATCH_CALL_ID)
-        out.write_int(len(batch))
-        for _, payload, length, _ in batch:
-            out.write_int(length)
-            buffered.write_bytes(payload)
-        out.flush()
+        chunks = frames.stream_batch(
+            ledger, [(payload, length) for _, payload, length, _ in batch]
+        )
         yield self.env.timeout(ledger.drain())
         self._absorb(ledger)
-        refs = self._stamp_batch(batch, tracer)
-        yield self.sock.send(sink.chunks, trace=refs)
+        refs = self._stamp_batch(batch, self.client.fabric.tracer)
+        yield self.sock.send(chunks, trace=refs)
 
     def _receive_loop(self):
         """Demux loop: bulk reads, then complete callers by call id.
@@ -354,7 +288,6 @@ class MuxSocketConnection(ConnectionMux, SocketConnection):
         wakeup — and then settles each framed response in order.
         """
         sw = self.model.software
-        tracer = self.client.fabric.tracer
         pending = bytearray()
         while not self.closed:
             if len(pending) >= 4:
@@ -380,37 +313,10 @@ class MuxSocketConnection(ConnectionMux, SocketConnection):
             ledger.charge_copy(frame_len)
             payload = bytes(memoryview(pending)[4 : 4 + frame_len])
             del pending[: 4 + frame_len]
-            inp = DataInputBuffer(payload, ledger)
-            first = inp.read_int()
-            responses = []
-            if first == BATCH_CALL_ID:
-                count = inp.read_int()
-                for _ in range(count):
-                    inp.read_int()  # per-response frame length
-                    responses.append(self._read_response(inp.read_int(), inp))
-            else:
-                responses.append(self._read_response(first, inp))
-            batched = len(responses)
-            # One connection-thread wakeup settles the whole frame: the
-            # window slots of a merged batch free *together*, so the
-            # sender immediately refills them with an equally big batch
-            # (this is what keeps adaptive batching self-sustaining).
+            responses = frames.read_responses(DataInputBuffer(payload, ledger))
             yield self.env.timeout(ledger.drain() + sw.thread_handoff_us)
-            for call_id, status, value, error_cls, error_msg in responses:
-                call = self.calls.get(call_id)
-                if call is not None and call.span is not None:
-                    tracer.complete(
-                        "rpc.recv", receive_start, self.env.now,
-                        parent=call.span, node=self.client.node.name,
-                        category="rpc.client", response_bytes=frame_len,
-                        batched=batched,
-                    )
-                self._complete(
-                    call_id, status, value, error_cls or "", error_msg or ""
-                )
             self._absorb(ledger)
-            self._note_activity()
-            self._wake_keeper()
+            self._settle(responses, receive_start, response_bytes=frame_len)
         self.closed = True
         self.client._forget(self)
         self._fail_all(SocketClosed("connection closed"))
@@ -419,15 +325,6 @@ class MuxSocketConnection(ConnectionMux, SocketConnection):
 
 class MuxIBConnection(ConnectionMux, IBConnection):
     """RPCoIB mux: gather queued calls into one verbs post."""
-
-    def __init__(self, client, address, protocol):
-        super().__init__(client, address, protocol)
-        self._init_mux()
-        self.conn_key = (address, MUX_CONNECTION_KEY)
-
-    def setup(self):
-        yield from super().setup()
-        self._start_sender()
 
     def _engine_failed(self, reason: str) -> None:
         super()._engine_failed(reason)
@@ -440,38 +337,27 @@ class MuxIBConnection(ConnectionMux, IBConnection):
         self._wake_sender()
 
     def _encode_call(self, call: Call, ledger: CostLedger):
-        """JVM-bypass serialization into a pooled registered buffer,
-        then a handoff snapshot so the pooled buffer recycles
-        immediately; the gather copy into the aggregated post is
-        charged at the sender."""
-        pool = self.client.pool
-        predicted = pool.predicted_size(self.protocol_name, call.method)
-        out = RDMAOutputStream(pool, self.protocol_name, call.method, ledger)
-        out.write_int(call.id)
-        Invocation(call.method, call.params).write(out)
+        """The engine's pooled-buffer encode, then a handoff snapshot so
+        the pooled buffer recycles immediately; the gather copy into the
+        aggregated post is charged at the sender."""
+        out, length, adjustments, annotations = super()._encode_call(call, ledger)
         buffer, length = out.detach()
         with memoryview(buffer.data) as view:
             payload = bytes(view[:length])
         out.release()
-        annotations = (
-            ("pool_predicted_bytes", predicted),
-            ("pool_hit", out.grow_count == 0),
-        )
-        return payload, length, out.grow_count, annotations
+        return payload, length, adjustments, annotations
 
     def _send_batch(self, batch):
         """Aggregate the window into one post (Ibdxnet-style ORB)."""
-        tracer = self.client.fabric.tracer
         ledger = CostLedger(self.model)
         buf = DataOutputBuffer(ledger, initial_size=_IB_AGGREGATION_INITIAL)
-        buf.write_int(BATCH_CALL_ID)
-        buf.write_int(len(batch))
-        for _, payload, length, _ in batch:
-            buf.write_int(length)
-            buf.write(payload)  # the aggregation copy, charged here
+        # buf.write is the aggregation copy, charged here.
+        frames.write_batch(
+            buf, [(payload, length) for _, payload, length, _ in batch], buf.write
+        )
         yield self.env.timeout(ledger.drain())
         self._absorb(ledger)
-        refs = self._stamp_batch(batch, tracer)
+        refs = self._stamp_batch(batch, self.client.fabric.tracer)
         try:
             yield self.qp.post_send(
                 buf.get_view(), buf.get_length(),
@@ -480,46 +366,3 @@ class MuxIBConnection(ConnectionMux, IBConnection):
         except QPBrokenError:
             self._engine_failed("qp_break")
             raise
-
-    def _receive_loop(self):
-        sw = self.model.software
-        tracer = self.client.fabric.tracer
-        while not self.closed:
-            message = yield self.qp.recv()
-            if isinstance(message, QPBreak):
-                if not self.closed:
-                    self._engine_failed(message.reason)
-                return
-            receive_start = self.env.now
-            ledger = CostLedger(self.model)
-            inp = RDMAInputStream(message.data, message.length, ledger)
-            first = inp.read_int()
-            responses = []
-            if first == BATCH_CALL_ID:
-                count = inp.read_int()
-                for _ in range(count):
-                    inp.read_int()  # per-response frame length
-                    responses.append(self._read_response(inp.read_int(), inp))
-            else:
-                responses.append(self._read_response(first, inp))
-            batched = len(responses)
-            # One poll settles the whole completion (see the socket
-            # flavour): merged responses free their window slots
-            # together, which keeps the sender's batches big.
-            yield self.env.timeout(ledger.drain() + sw.thread_handoff_us)
-            for call_id, status, value, error_cls, error_msg in responses:
-                call = self.calls.get(call_id)
-                if call is not None and call.span is not None:
-                    tracer.complete(
-                        "rpc.recv", receive_start, self.env.now,
-                        parent=call.span, node=self.client.node.name,
-                        category="rpc.client",
-                        response_bytes=message.length, eager=message.eager,
-                        batched=batched,
-                    )
-                self._complete(
-                    call_id, status, value, error_cls or "", error_msg or ""
-                )
-            self._absorb(ledger)
-            self._note_activity()
-            self._wake_keeper()

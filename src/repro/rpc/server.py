@@ -8,22 +8,27 @@ responses back.  The socket path executes Listing 2 verbatim — per-call
 heap ByteBuffer allocation, native->heap copy — while the RPCoIB path
 deserializes straight from registered buffers delivered through one
 shared completion queue.
+
+The wire format is owned by :mod:`repro.rpc.frames`.  Both Readers
+decode through it and feed one admission path (``Server._admit``) for
+single and batch frames alike; only the engine's framing costs stay
+with each Reader (heap allocation and copy on sockets, completion poll
+and event scan on verbs).  Responses are written once, by the same
+codec, for both engines.
 """
 
 from __future__ import annotations
 
 import itertools
-import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Type, Union
 
 from repro.calibration import CostModel, NetworkSpec
 from repro.config import Configuration
 from repro.io.data_input import DataInputBuffer
-from repro.io.data_output import DataOutputBuffer, DataOutputStream
-from repro.io.buffered import BufferedOutputStream, VectorSink
+from repro.io.data_output import DataOutputBuffer
 from repro.io.rdma_streams import RDMAInputStream, RDMAOutputStream
-from repro.io.writable import ObjectWritable, Writable
+from repro.io.writable import Writable
 from repro.io.writables import NullWritable
 from repro.mem.cost import CostLedger
 from repro.mem.native_pool import build_pool
@@ -36,15 +41,10 @@ from repro.net.verbs import (
     QPBreak,
     QPBrokenError,
     QueuePair,
-    classify,
 )
-from repro.rpc.call import (
-    BATCH_CALL_ID,
-    ConnectionHeader,
-    Invocation,
-    PING_CALL_ID,
-    RpcStatus,
-)
+from repro.rpc import frames
+from repro.rpc.call import ConnectionHeader, Invocation, RpcStatus
+from repro.rpc.frames import PING_CALL_ID
 from repro.rpc.callqueue import CallQueue, build_call_queue
 from repro.rpc.metrics import ReceiveProfile, RpcMetrics
 from repro.rpc.protocol import RpcProtocol
@@ -68,7 +68,7 @@ class SocketServerConnection:
         self.sock = sock
         self.protocol_name: Optional[str] = None
         self.scheduled = False  # queued in the readable list
-        #: the peer sent a BATCH_CALL_ID frame (a multiplexed client):
+        #: the peer sent a batch frame (a multiplexed client):
         #: the responder may merge responses to this connection.
         self.batch_aware = False
 
@@ -82,7 +82,7 @@ class IBServerConnection:
         self.id = next(self._ids)
         self.qp = qp
         self.protocol_name = protocol_name
-        #: the peer sent a BATCH_CALL_ID post (a multiplexed client):
+        #: the peer sent a batch post (a multiplexed client):
         #: the responder may merge responses to this connection.
         self.batch_aware = False
 
@@ -350,12 +350,10 @@ class Server:
 
     # -- socket Reader (Listing 2) ----------------------------------------------
     def _reader_loop(self, index: int):
-        sw = self.model.software
         while self.running:
             conn = yield self.readable.get()
             receive_start = self.env.now
             ledger = CostLedger(self.model)
-            mem = self.model.memory
             try:
                 # ByteBuffer lenBuffer = ByteBuffer.allocate(4)
                 ledger.charge_heap_alloc(4)
@@ -367,118 +365,25 @@ class Server:
                 ledger.charge_copy(length)  # native IO layer -> JVM heap
             except SocketClosed:
                 continue
+            inp = DataInputBuffer(payload, ledger)
             if conn.protocol_name is None:
                 # First frame on a connection is the ConnectionHeader.
-                inp = DataInputBuffer(payload, ledger)
                 hdr = ConnectionHeader()
                 hdr.read_fields(inp)
                 conn.protocol_name = hdr.protocol
                 yield self.env.timeout(ledger.drain())
             else:
-                inp = DataInputBuffer(payload, ledger)
-                call_id = inp.read_int()
+                call_id, count = frames.read_head(inp)
                 if call_id == PING_CALL_ID:
                     # Keepalive frame (Hadoop Client.sendPing): consume
                     # and discard — liveness only, never queued.
                     yield self.env.timeout(ledger.drain())
                     self.ping_counter.add()
-                elif call_id == BATCH_CALL_ID:
-                    # A multiplexed client's batched frame: one socket
-                    # read amortized over every sub-call.  Each sub-call
-                    # still pays its own decode + dispatch and is queued
-                    # (or rejected) individually — batching changes the
-                    # wire and syscall schedule, never call semantics.
-                    conn.batch_aware = True
-                    count = inp.read_int()
-                    alloc_seen = 0.0
-                    for _ in range(count):
-                        sub_len = inp.read_int()
-                        sub_id = inp.read_int()
-                        invocation = Invocation()
-                        invocation.read_fields(inp)
-                        yield self.env.timeout(
-                            ledger.drain() + sw.handler_dispatch_us
-                        )
-                        # Attribute allocation deltas to the sub-call
-                        # that incurred them (the frame buffers land on
-                        # the first one).
-                        alloc_total = ledger.category("alloc")
-                        alloc_us = alloc_total - alloc_seen
-                        alloc_seen = alloc_total
-                        self.metrics.record_receive(
-                            ReceiveProfile(
-                                protocol=conn.protocol_name,
-                                method=invocation.method,
-                                alloc_us=alloc_us,
-                                receive_total_us=self.env.now - receive_start,
-                                payload_bytes=sub_len,
-                            )
-                        )
-                        ref = conn.sock.pop_trace()
-                        if ref is not None:
-                            if ref.sent_at:
-                                self.tracer.complete(
-                                    "rpc.wire", ref.sent_at, receive_start,
-                                    parent=ref, node=self.node.name,
-                                    category="net", bytes=sub_len,
-                                    batched=count,
-                                )
-                            self.tracer.complete(
-                                "rpc.server.receive", receive_start,
-                                self.env.now, parent=ref,
-                                node=self.node.name, category="rpc.server",
-                                protocol=conn.protocol_name,
-                                method=invocation.method,
-                                alloc_us=alloc_us, payload_bytes=sub_len,
-                                batched=count,
-                            )
-                        scall = ServerCall(
-                            conn, sub_id, invocation, self.env.now, trace=ref
-                        )
-                        rejection = self.call_queue.try_reserve(scall)
-                        if rejection is None:
-                            yield self.call_queue.put(scall)
-                            self.queue_depth.inc()
-                        else:
-                            yield from self._reject_call(scall, rejection)
                 else:
-                    invocation = Invocation()
-                    invocation.read_fields(inp)
-                    yield self.env.timeout(ledger.drain() + sw.handler_dispatch_us)
-                    self.metrics.record_receive(
-                        ReceiveProfile(
-                            protocol=conn.protocol_name,
-                            method=invocation.method,
-                            # all per-call heap buffer allocations of the
-                            # Listing-2 path (len buffer, data buffer, and
-                            # the Writables' backing arrays)
-                            alloc_us=ledger.category("alloc"),
-                            receive_total_us=self.env.now - receive_start,
-                            payload_bytes=length,
-                        )
+                    yield from self._admit(
+                        conn, inp, ledger, call_id, count, length,
+                        receive_start, conn.sock.pop_trace,
                     )
-                    ref = conn.sock.pop_trace()
-                    if ref is not None:
-                        if ref.sent_at:
-                            self.tracer.complete(
-                                "rpc.wire", ref.sent_at, receive_start, parent=ref,
-                                node=self.node.name, category="net", bytes=length,
-                            )
-                        self.tracer.complete(
-                            "rpc.server.receive", receive_start, self.env.now,
-                            parent=ref, node=self.node.name, category="rpc.server",
-                            protocol=conn.protocol_name, method=invocation.method,
-                            alloc_us=ledger.category("alloc"), payload_bytes=length,
-                        )
-                    scall = ServerCall(
-                        conn, call_id, invocation, self.env.now, trace=ref
-                    )
-                    rejection = self.call_queue.try_reserve(scall)
-                    if rejection is None:
-                        yield self.call_queue.put(scall)
-                        self.queue_depth.inc()
-                    else:
-                        yield from self._reject_call(scall, rejection)
             self._heap.absorb(ledger)
             conn.scheduled = False
             if conn.sock.available > 0 and not conn.scheduled:
@@ -501,97 +406,81 @@ class Server:
             conn: IBServerConnection = qp.owner
             ledger = CostLedger(self.model)
             inp = RDMAInputStream(message.data, message.length, ledger)
-            call_id = inp.read_int()
+            call_id, count = frames.read_head(inp)
             if call_id == PING_CALL_ID:
                 # Keepalive over the verbs engine: poll cost, no queueing.
                 yield self.env.timeout(ledger.drain() + sw.cq_poll_us)
                 self.ping_counter.add()
                 continue
-            if call_id == BATCH_CALL_ID:
-                # Aggregated post from a multiplexed RPCoIB client: one
-                # completion (one poll + one event-scan) for the whole
-                # window; each sub-call still pays decode + dispatch.
-                conn.batch_aware = True
-                count = inp.read_int()
-                yield self.env.timeout(
-                    ledger.drain() + sw.cq_poll_us + sw.server_ib_poll_scan_us
-                )
-                for _ in range(count):
-                    sub_len = inp.read_int()
-                    sub_id = inp.read_int()
-                    invocation = Invocation()
-                    invocation.read_fields(inp)
-                    yield self.env.timeout(
-                        ledger.drain() + sw.handler_dispatch_us
-                    )
-                    self.metrics.record_receive(
-                        ReceiveProfile(
-                            protocol=conn.protocol_name,
-                            method=invocation.method,
-                            alloc_us=0.0,  # JVM-bypass: no receive alloc
-                            receive_total_us=self.env.now - receive_start,
-                            payload_bytes=sub_len,
-                        )
-                    )
-                    ref = qp.pop_trace()
-                    if ref is not None:
-                        if ref.sent_at:
-                            self.tracer.complete(
-                                "rpc.wire", ref.sent_at, receive_start,
-                                parent=ref, node=self.node.name,
-                                category="net", bytes=sub_len,
-                                eager=message.eager, batched=count,
-                            )
-                        self.tracer.complete(
-                            "rpc.server.receive", receive_start, self.env.now,
-                            parent=ref, node=self.node.name,
-                            category="rpc.server",
-                            protocol=conn.protocol_name,
-                            method=invocation.method,
-                            alloc_us=0.0, payload_bytes=sub_len,
-                            batched=count,
-                        )
-                    scall = ServerCall(
-                        conn, sub_id, invocation, self.env.now, trace=ref
-                    )
-                    rejection = self.call_queue.try_reserve(scall)
-                    if rejection is None:
-                        yield self.call_queue.put(scall)
-                        self.queue_depth.inc()
-                    else:
-                        yield from self._reject_call(scall, rejection)
-                continue
-            invocation = Invocation()
-            invocation.read_fields(inp)
-            # cq poll + per-connection event-poll scan + dispatch
-            yield self.env.timeout(
-                ledger.drain()
-                + sw.cq_poll_us
-                + sw.server_ib_poll_scan_us
-                + sw.handler_dispatch_us
+            # cq poll + per-connection event-poll scan; JVM-bypass, so
+            # no receive-side allocation is attributed to the calls.
+            yield from self._admit(
+                conn, inp, ledger, call_id, count, message.length,
+                receive_start, qp.pop_trace,
+                poll=(sw.cq_poll_us, sw.server_ib_poll_scan_us),
+                heap_alloc=False, eager=message.eager,
             )
+
+    def _admit(
+        self, conn, inp, ledger: CostLedger, call_id: int, count: int,
+        nbytes: int, receive_start: float, pop_trace, poll=(),
+        heap_alloc: bool = True, **wire_tags,
+    ):
+        """Decode and queue every call of one request frame.
+
+        The one admission path for both readers; a single-call frame is
+        the one-entry case of a batch.  A batch frame (a multiplexed
+        client) amortizes one read — or one completion ``poll`` — over
+        its entries, but each entry still pays its own decode +
+        dispatch and is queued (or rejected) individually: batching
+        changes the wire and syscall schedule, never call semantics.
+        ``poll`` (the engine's per-completion costs) is paid up front
+        for a batch and folded into a lone call's dispatch.
+        """
+        sw = self.model.software
+        batch_tags = {}
+        if count:
+            conn.batch_aware = True
+            batch_tags["batched"] = count
+            if poll:
+                yield self.env.timeout(ledger.drain() + poll[0] + poll[1])
+                poll = ()
+        alloc_seen = 0.0
+        for call_id, nbytes in frames.entries(inp, call_id, count, nbytes):
+            invocation = frames.read_invocation(inp)
+            delay = ledger.drain()
+            if poll:
+                delay = delay + poll[0] + poll[1]
+            yield self.env.timeout(delay + sw.handler_dispatch_us)
+            alloc_us = 0.0
+            if heap_alloc:
+                # Attribute allocation deltas to the call that incurred
+                # them (the frame buffers land on the first one).
+                alloc_total = ledger.category("alloc")
+                alloc_us = alloc_total - alloc_seen
+                alloc_seen = alloc_total
             self.metrics.record_receive(
                 ReceiveProfile(
                     protocol=conn.protocol_name,
                     method=invocation.method,
-                    alloc_us=0.0,  # JVM-bypass: no receive-side allocation
+                    alloc_us=alloc_us,
                     receive_total_us=self.env.now - receive_start,
-                    payload_bytes=message.length,
+                    payload_bytes=nbytes,
                 )
             )
-            ref = qp.pop_trace()
+            ref = pop_trace()
             if ref is not None:
                 if ref.sent_at:
                     self.tracer.complete(
                         "rpc.wire", ref.sent_at, receive_start, parent=ref,
-                        node=self.node.name, category="net",
-                        bytes=message.length, eager=message.eager,
+                        node=self.node.name, category="net", bytes=nbytes,
+                        **wire_tags, **batch_tags,
                     )
                 self.tracer.complete(
                     "rpc.server.receive", receive_start, self.env.now,
                     parent=ref, node=self.node.name, category="rpc.server",
                     protocol=conn.protocol_name, method=invocation.method,
-                    alloc_us=0.0, payload_bytes=message.length,
+                    alloc_us=alloc_us, payload_bytes=nbytes, **batch_tags,
                 )
             scall = ServerCall(conn, call_id, invocation, self.env.now, trace=ref)
             rejection = self.call_queue.try_reserve(scall)
@@ -699,44 +588,28 @@ class Server:
     def _serialize_response(self, scall: ServerCall, status, result, error):
         """Engine-specific response serialization, charged to the handler."""
         ledger = CostLedger(self.model)
-        if isinstance(scall.conn, IBServerConnection):
+        conn = scall.conn
+        ib = isinstance(conn, IBServerConnection)
+        if ib:
             out = RDMAOutputStream(
-                self.pool,
-                scall.conn.protocol_name,
-                scall.invocation.method + "#resp",
+                self.pool, conn.protocol_name, scall.invocation.method + "#resp",
                 ledger,
             )
-            out.write_int(scall.call_id)
-            out.write_byte(int(status))
-            if status == RpcStatus.SUCCESS:
-                ObjectWritable(result).write(out)
-            else:
-                out.write_utf(error[0])
-                out.write_utf(error[1])
-            yield self.env.timeout(ledger.drain())
-            return ("ib", scall.conn, out, scall.trace)
-        conf = self.conf
-        if conf.version != self._conf_stamp:
-            self._resp_buf_initial = conf.get_int("io.server.buffer.initial.size")
-            self._conf_stamp = conf.version
-        buf = DataOutputBuffer(ledger, initial_size=self._resp_buf_initial)
-        buf.write_int(scall.call_id)
-        buf.write_byte(int(status))
-        if status == RpcStatus.SUCCESS:
-            ObjectWritable(result).write(buf)
         else:
-            buf.write_utf(error[0])
-            buf.write_utf(error[1])
-        sink = VectorSink()
-        buffered = BufferedOutputStream(sink, ledger)
-        out_stream = DataOutputStream(buffered, ledger)
-        out_stream.write_int(buf.get_length())
-        buffered.write_bytes(buf.get_view())
-        out_stream.flush()
+            conf = self.conf
+            if conf.version != self._conf_stamp:
+                self._resp_buf_initial = conf.get_int("io.server.buffer.initial.size")
+                self._conf_stamp = conf.version
+            out = DataOutputBuffer(ledger, initial_size=self._resp_buf_initial)
+        frames.write_response(out, scall.call_id, status, result, error)
+        if ib:
+            yield self.env.timeout(ledger.drain())
+            return ("ib", conn, out, scall.trace)
+        # Chunk list (gather write): the socket joins it exactly once.
+        chunks = frames.stream_frame(ledger, out.get_view(), out.get_length())
         yield self.env.timeout(ledger.drain())
         self._heap.absorb(ledger)
-        # Chunk list (gather write): the socket joins it exactly once.
-        return ("socket", scall.conn, sink.chunks, scall.trace)
+        return ("socket", conn, chunks, scall.trace)
 
     # -- Responder -------------------------------------------------------------------
     #: most responses the Responder folds into one wire frame for a
@@ -771,74 +644,71 @@ class Server:
             items.extend(keep)
         return extras
 
-    def _respond_merged(self, kind: str, conn, entries, threshold: int):
+    def _respond_merged(self, kind: str, conn, entries):
         """Write ``entries`` (≥2 responses, one connection) as a batch.
 
-        Wire format mirrors the request side: ``[BATCH_CALL_ID][count]``
-        then length-prefixed per-response frames, byte-identical to
-        what each response would have carried alone.  The 8-byte batch
-        header rides in the same gather write, so no extra syscall or
-        post is charged for it.
+        Wire format mirrors the request side (:mod:`repro.rpc.frames`):
+        per-response entries byte-identical to what each response would
+        have carried alone.  The batch header rides in the same gather
+        write, so no extra syscall or post is charged for it.
         """
         count = len(entries)
         self.responses_merged += count - 1
-        spans = []
-        for _, _, _, ref in entries:
-            spans.append(
-                self.tracer.start(
-                    "rpc.server.respond", parent=ref, node=self.node.name,
-                    category="rpc.server",
-                ) if ref is not None else None
-            )
-        if kind == "ib":
-            parts = [struct.pack(">ii", BATCH_CALL_ID, count)]
-            lengths = []
-            for _, _, stream, _ in entries:
-                buffer, length = stream.detach()
-                lengths.append(length)
-                parts.append(struct.pack(">i", length))
-                with memoryview(buffer.data) as view:
-                    parts.append(bytes(view[:length]))
-                stream.release()  # pooled buffer recycles immediately
-            message = b"".join(parts)
-            try:
-                yield conn.qp.post_send(message, rdma_threshold=threshold)
-            except QPBrokenError:
-                for rspan in spans:
-                    if rspan is not None:
-                        rspan.annotate("error", "QPBrokenError").end()
-                return
-            for rspan, length in zip(spans, lengths):
-                if rspan is not None:
-                    rspan.annotate("response_bytes", length)
-                    rspan.annotate("merged", count)
-                    rspan.end()
-            return
-        body = 0
-        chunks: list = [None]  # placeholder for the batch header
-        lengths = []
-        for _, _, payload, _ in entries:
-            sub = sum(len(chunk) for chunk in payload)
-            body += sub
-            lengths.append(sub)
-            chunks.extend(payload)
-        chunks[0] = struct.pack(">iii", 8 + body, BATCH_CALL_ID, count)
+        spans = [self._respond_span(ref) for _, _, _, ref in entries]
         try:
-            yield conn.sock.send(chunks)
-        except SocketClosed:
-            for rspan in spans:
-                if rspan is not None:
-                    rspan.annotate("error", "SocketClosed").end()
+            if kind == "ib":
+                bodies = []
+                for _, _, stream, _ in entries:
+                    buffer, length = stream.detach()
+                    with memoryview(buffer.data) as view:
+                        bodies.append(bytes(view[:length]))
+                    stream.release()  # pooled buffer recycles immediately
+                lengths = [len(body) for body in bodies]
+                # Read at post time: a live retune of the threshold
+                # applies to merged posts exactly as to single ones.
+                yield conn.qp.post_send(
+                    frames.join_batch(bodies),
+                    rdma_threshold=self.conf.get_int("rpc.ib.rdma.threshold"),
+                )
+            else:
+                lengths = [
+                    sum(len(chunk) for chunk in payload)
+                    for _, _, payload, _ in entries
+                ]
+                chunks = [frames.stream_batch_header(count, sum(lengths))]
+                for _, _, payload, _ in entries:
+                    chunks.extend(payload)
+                yield conn.sock.send(chunks)
+        except (QPBrokenError, SocketClosed) as exc:
+            self._end_respond(spans, error=type(exc).__name__)
             return
-        for rspan, length in zip(spans, lengths):
-            if rspan is not None:
-                rspan.annotate("response_bytes", length)
-                rspan.annotate("merged", count)
-                rspan.end()
+        self._end_respond(spans, lengths, merged=count)
+
+    def _respond_span(self, ref):
+        if ref is None:
+            return None
+        return self.tracer.start(
+            "rpc.server.respond", parent=ref, node=self.node.name,
+            category="rpc.server",
+        )
+
+    @staticmethod
+    def _end_respond(spans, lengths=(), error=None, **tags) -> None:
+        """Close ``rpc.server.respond`` spans: the transport error, or
+        each response's bytes followed by ``tags``."""
+        for i, rspan in enumerate(spans):
+            if rspan is None:
+                continue
+            if error is not None:
+                rspan.annotate("error", error).end()
+                continue
+            rspan.annotate("response_bytes", lengths[i])
+            for key, value in tags.items():
+                rspan.annotate(key, value)
+            rspan.end()
 
     def _responder_loop(self):
         sw = self.model.software
-        threshold = self.conf.get_int("rpc.ib.rdma.threshold")
         while self.running:
             kind, conn, payload, ref = yield self.response_queue.get()
             # Merge-before-handoff: the backlog inspection happens in
@@ -848,13 +718,10 @@ class Server:
             yield self.env.timeout(sw.thread_handoff_us)
             if extras:
                 yield from self._respond_merged(
-                    kind, conn, [(kind, conn, payload, ref)] + extras, threshold
+                    kind, conn, [(kind, conn, payload, ref)] + extras
                 )
                 continue
-            rspan = self.tracer.start(
-                "rpc.server.respond", parent=ref, node=self.node.name,
-                category="rpc.server",
-            ) if ref is not None else None
+            rspan = self._respond_span(ref)
             if kind == "ib":
                 stream: RDMAOutputStream = payload
                 buffer, length = stream.detach()
@@ -862,33 +729,27 @@ class Server:
                 # call kind ("method#resp") consults the server pool's
                 # size predictor, so confidently predicted-large
                 # responses pre-advertise their target buffer.
-                choice = self.adaptive.choose(
-                    stream.protocol, stream.method, length
-                )
+                choice = self.adaptive.choose(stream.protocol, stream.method, length)
                 try:
                     yield conn.qp.post_send(buffer, length, choice=choice)
                 except QPBrokenError:
                     stream.release()
-                    if rspan is not None:
-                        rspan.annotate("error", "QPBrokenError").end()
+                    self._end_respond((rspan,), error="QPBrokenError")
                     continue
                 stream.release()
-                if rspan is not None:
-                    rspan.annotate("response_bytes", length)
-                    if choice.source != "static":
-                        rspan.annotate("eager", choice.eager)
-                        rspan.annotate("transport_source", choice.source)
-                        rspan.annotate("preposted", choice.preposted)
-                    rspan.end()
+                if rspan is not None and choice.source != "static":
+                    self._end_respond(
+                        (rspan,), (length,), eager=choice.eager,
+                        transport_source=choice.source, preposted=choice.preposted,
+                    )
+                else:
+                    self._end_respond((rspan,), (length,))
             else:
                 try:
                     yield conn.sock.send(payload)
                 except SocketClosed:
-                    if rspan is not None:
-                        rspan.annotate("error", "SocketClosed").end()
+                    self._end_respond((rspan,), error="SocketClosed")
                     continue
                 if rspan is not None:
-                    rspan.annotate(
-                        "response_bytes", sum(len(chunk) for chunk in payload)
-                    )
-                    rspan.end()
+                    length = sum(len(chunk) for chunk in payload)
+                    self._end_respond((rspan,), (length,))

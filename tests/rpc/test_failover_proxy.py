@@ -141,3 +141,14 @@ def test_fixed_policy_uses_base_delay():
     base = harness.conf.get_float("ipc.client.failover.sleep.base")
     # one standby bounce + one fixed backoff + two served round-trips.
     assert elapsed >= base
+
+
+@pytest.mark.parametrize(
+    "key", ["ipc.client.connect.retry.policy", "ipc.client.failover.retry.policy"]
+)
+def test_unknown_retry_policy_is_rejected(key):
+    # A typo must not silently fall back to the fixed policy.
+    harness = HaHarness(controller=False, conf_overrides={key: "exponental"})
+    proxy = harness.proxy()
+    with pytest.raises(ValueError, match=f"{key}='exponental'"):
+        _call(harness, proxy)

@@ -177,3 +177,32 @@ def test_mux_queue_wait_is_a_traced_span(ib):
     assert all(s.finished for s in queue_spans)
     assert {s.attrs["window"] for s in queue_spans} == {2}
     assert any(s.attrs["batch_size"] > 1 for s in queue_spans)
+
+
+def test_merged_ib_responses_read_the_rdma_threshold_at_post_time():
+    """A live ``rpc.ib.rdma.threshold`` retune reaches merged response
+    posts too, not only the single responses the adaptive transport
+    re-reads it for."""
+    harness = mux_harness(ib=True, window=8)
+    env = harness.env
+
+    def wave(tag):
+        def caller(i):
+            yield harness.proxy.echo(Text(f"{tag}{i}"))
+
+        return [env.process(caller(i), name=f"{tag}{i}") for i in range(32)]
+
+    env.run(env.all_of(wave("a")))
+    (server_conn,) = harness.server.ib_connections
+    qp = server_conn.qp
+    merged_before = harness.server.responses_merged
+    assert merged_before > 0  # the default threshold: every post eager
+    assert qp.rdma_sends == 0
+    eager_before = qp.eager_sends
+
+    # Retune mid-run: every response is now past the threshold.
+    harness.conf.set("rpc.ib.rdma.threshold", 1)
+    env.run(env.all_of(wave("b")))
+    assert harness.server.responses_merged > merged_before
+    assert qp.eager_sends == eager_before  # no post kept the stale value
+    assert qp.rdma_sends > 0

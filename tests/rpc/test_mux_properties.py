@@ -8,20 +8,20 @@ The three mux invariants from the PR acceptance list:
   even under a mid-stream QP-break fault schedule;
 * the batched wire frame is byte-identical to the concatenation of the
   per-call frames the call-at-a-time path would have sent (checked
-  both on the pure helpers and against the real encoder's wire bytes).
+  both on the pure helpers and against the real encoder's wire bytes);
+* the response side's twin: a merged response batch is byte-identical
+  to the singleton response frames concatenated, over both engines.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.io.writables import Text
-from repro.rpc.call import BATCH_CALL_ID, Call
-from repro.rpc.mux import (
-    ConnectionMux,
-    MuxSocketConnection,
-    batch_frame_chunks,
-    call_frame_bytes,
-)
+from repro.io.writables import BytesWritable, Text
+from repro.rpc.call import Call
+from repro.rpc.frames import BATCH_CALL_ID, batch_frame_chunks, call_frame_bytes
+from repro.rpc.mux import ConnectionMux, MuxSocketConnection
+from repro.rpc.server import Server
 
 from tests.faults.conftest import faulted_harness
 from tests.rpc.conftest import RpcHarness
@@ -223,3 +223,70 @@ def test_real_encoder_matches_the_canonical_batch_bytes(nc):
         expected = b"".join(bytes(c) for c in batch_frame_chunks(payloads))
         assert wire == expected
         assert nbytes == len(expected)
+
+
+def _singleton_bytes(kind, payload) -> bytes:
+    """The frame one queued response would have carried on its own."""
+    if kind == "socket":
+        return b"".join(bytes(chunk) for chunk in payload)  # [len][body]
+    return bytes(payload.buffer.data[: payload.get_length()])  # self-delimiting
+
+
+@pytest.mark.parametrize("ib", [False, True], ids=["sockets", "rpcoib"])
+@given(sizes=st.lists(st.integers(min_value=0, max_value=512), min_size=24, max_size=40))
+@settings(max_examples=8, deadline=None)
+def test_merged_response_batch_is_concatenation_of_singleton_frames(ib, sizes):
+    """The responder's merged write is byte-identical to the singleton
+    response frames concatenated behind a batch header — checked against
+    the independent reference encoder, over both engines."""
+    harness = _mux_harness(ib=ib, window=8)
+    env = harness.env
+    captured = []
+    original_respond_merged = Server._respond_merged
+
+    def capturing_respond_merged(self, kind, conn, entries):
+        singles = [_singleton_bytes(kind, entry[2]) for entry in entries]
+        target, name = (conn.qp, "post_send") if kind == "ib" else (conn.sock, "send")
+        original_send = getattr(target, name)
+        sent = []
+
+        def spy(data, *args, **kwargs):
+            sent.append(data)
+            return original_send(data, *args, **kwargs)
+
+        setattr(target, name, spy)
+        try:
+            yield from original_respond_merged(self, kind, conn, entries)
+        finally:
+            delattr(target, name)
+        captured.append((kind, singles, sent))
+
+    Server._respond_merged = capturing_respond_merged
+    try:
+
+        def caller(i, size):
+            got = yield harness.proxy.echo(BytesWritable(bytes([i % 251]) * size))
+            assert bytes(got.value) == bytes([i % 251]) * size
+
+        procs = [
+            env.process(caller(i, size), name=f"caller{i}")
+            for i, size in enumerate(sizes)
+        ]
+        env.run(env.all_of(procs))
+    finally:
+        Server._respond_merged = original_respond_merged
+
+    assert captured  # the backlog merged at least once
+    for kind, singles, sent in captured:
+        (data,) = sent
+        assert kind == ("ib" if ib else "socket")
+        if kind == "socket":
+            wire = b"".join(bytes(chunk) for chunk in data)
+            bodies = [single[4:] for single in singles]
+            assert singles == [call_frame_bytes(body) for body in bodies]
+            assert wire == b"".join(bytes(c) for c in batch_frame_chunks(bodies))
+        else:
+            # A verbs message is self-delimiting: the same batch image
+            # without the stream's 4-byte total-length prefix.
+            reference = b"".join(bytes(c) for c in batch_frame_chunks(singles))
+            assert bytes(data) == reference[4:]
