@@ -8,7 +8,7 @@ corruption, endpoint-bootstrap failure) are consulted by the transports
 at the injection points:
 
 * :meth:`wait_transferable` / :meth:`deliverable` gate
-  ``Fabric._transfer_proc`` — partitions blackhole the wire (transfers
+  ``Fabric.transfer`` — partitions blackhole the wire (transfers
   park until heal), crashed endpoints drop in flight;
 * :meth:`loss_delay` / :meth:`corrupts` are drawn per wire chunk by
   ``SimSocket._tx_loop`` — loss charges a retransmission penalty,

@@ -3,13 +3,22 @@
 Topology model: every node hangs off one non-blocking switch (both of
 the paper's clusters are single-switch).  Contention therefore happens
 at the endpoints — each node has one transmit and one receive engine
-per fabric direction, held for the serialization time of each message.
+per fabric direction, busy for the serialization time of each message.
 That is exactly the resource the Fig. 5(b) incast (64 clients, one
 server) stresses.
+
+Each engine is a FIFO single server, so it is kept as one float — the
+time it next falls idle (``Node.tx_free_at`` / ``Node.rx_free_at``) —
+and a message's service interval follows in closed form:
+``end = max(now, free_at) + serialization``.  A wire transfer therefore
+costs two scheduled events (arrival at the destination, completion)
+and no process; DESIGN.md ("NIC engines") shows why every completion
+time equals the one of the earlier engine-as-``Resource`` model.
 """
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Dict, Optional
 
 from repro.calibration import CostModel, NetworkSpec
@@ -19,7 +28,7 @@ from repro.obs import runtime as obs_runtime
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_TRACER
 from repro.simcore import Environment, Resource
-from repro.simcore.events import Event
+from repro.simcore.events import NORMAL, Event
 
 
 class Node:
@@ -32,9 +41,11 @@ class Node:
         self.cores = cores
         #: task/daemon compute contends here (8 physical cores).
         self.cpu = Resource(env, capacity=cores)
-        #: NIC serialization engines, one per direction (full duplex).
-        self.nic_tx = Resource(env, capacity=1)
-        self.nic_rx = Resource(env, capacity=1)
+        #: NIC serialization engines, one per direction (full duplex):
+        #: each is a FIFO single server, kept as the time it next falls
+        #: idle (see ``Fabric._wire``).
+        self.tx_free_at = env.now
+        self.rx_free_at = env.now
         #: JVM heaps of daemons hosted on this node, by daemon name.
         self.heaps: Dict[str, JvmHeap] = {}
 
@@ -76,9 +87,6 @@ class Fabric:
         self.faults = (
             fault_session.attach(self) if fault_session is not None else None
         )
-        # Transfer-process names, cached per (src, dst) pair: transfers
-        # spawn per wire chunk and the f-string shows up in profiles.
-        self._xfer_names: Dict[tuple, str] = {}
 
     def add_node(self, name: str, cores: Optional[int] = None) -> Node:
         if name in self.nodes:
@@ -101,61 +109,81 @@ class Fabric:
     def transfer(self, src: Node, dst: Node, nbytes: int, spec: NetworkSpec) -> Event:
         """Move ``nbytes`` from ``src`` to ``dst`` over ``spec``.
 
-        Returns the completion event.  Charges: source NIC engine held
-        for the serialization time, wire latency, destination NIC
-        engine held for the deserialization time.  Local (same-node)
-        transfers short-circuit through loopback.
+        Returns the completion event: its value is True when the bytes
+        arrived, False when a fault (crashed endpoint) swallowed them
+        mid-flight.  Charges: source NIC engine busy for the
+        serialization time, wire latency, destination NIC engine busy
+        for the deserialization time.  Local (same-node) transfers
+        short-circuit through loopback.
         """
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")
-        key = (src.name, dst.name)
-        name = self._xfer_names.get(key)
-        if name is None:
-            name = f"xfer:{src.name}->{dst.name}"
-            self._xfer_names[key] = name
-        return self.env.process(self._transfer_proc(src, dst, nbytes, spec), name=name)
-
-    def _hold(self, resource, delay_before: float, serialization_us: float):
-        """Occupy a NIC engine for the serialization time (one pipeline
-        side of a transfer), optionally trailing by ``delay_before``."""
-        if delay_before:
-            yield self.env.timeout(delay_before)
-        with resource.request() as req:
-            yield req
-            yield self.env.timeout(serialization_us)
-
-    def _transfer_proc(self, src: Node, dst: Node, nbytes: int, spec: NetworkSpec):
-        """Returns True when the bytes arrived, False when a fault
-        (crashed endpoint) swallowed them mid-flight."""
         if self.faults is not None:
-            # Partitions park the transfer until heal; a crashed
-            # endpoint means the bytes are lost.
-            ok = yield from self.faults.wait_transferable(src, dst)
-            if not ok:
-                return False
-        if src is dst:
-            # Loopback: kernel memcpy, no NIC, tiny latency.
-            yield self.env.timeout(
-                1.0 + nbytes * self.model.memory.memcpy_per_byte_us
+            return self.env.process(
+                self._faulty_transfer(src, dst, nbytes, spec), name="xfer"
             )
+        if src is dst:
+            return self.env.timeout(self._loopback_us(nbytes), True)
+        return self._wire(src, dst, nbytes / spec.bandwidth, spec.latency_us)
+
+    def _loopback_us(self, nbytes: int) -> float:
+        """Loopback: kernel memcpy, no NIC, tiny latency."""
+        return 1.0 + nbytes * self.model.memory.memcpy_per_byte_us
+
+    def _wire(self, src: Node, dst: Node, serialization_us: float, latency_us: float) -> Event:
+        """Cut-through pipeline over the two FIFO engines: the receive
+        side trails the transmit side by the wire latency and both are
+        busy for the serialization time; end-to-end = latency + nbytes/bw
+        when uncontended, and endpoint contention queues naturally.
+
+        The transmit engine is claimed now, in call order; the receive
+        engine when the bytes arrive (``_arrive``), so messages from
+        specs of different latency are served in the order they land.
+        """
+        env = self.env
+        now = env._now
+        start = src.tx_free_at
+        if start < now:
+            start = now
+        tx_end = start + serialization_us
+        src.tx_free_at = tx_end
+        done = env.event()
+        arrival = env.timeout(latency_us, (dst, serialization_us, tx_end, done))
+        arrival.callbacks.append(_arrive)
+        return done
+
+    def _faulty_transfer(self, src: Node, dst: Node, nbytes: int, spec: NetworkSpec):
+        """:meth:`transfer` with faults armed: partitions park the
+        transfer until heal, a crashed endpoint loses the bytes, and a
+        slow NIC scales the serialization time in force at departure."""
+        faults = self.faults
+        ok = yield from faults.wait_transferable(src, dst)
+        if not ok:
+            return False
+        if src is dst:
+            yield self.env.timeout(self._loopback_us(nbytes))
             return True
         serialization_us = nbytes / spec.bandwidth
-        if self.faults is not None:
-            factor = self.faults.nic_factor(src.name, dst.name)
-            if factor != 1.0:
-                serialization_us *= factor
+        factor = faults.nic_factor(src.name, dst.name)
+        if factor != 1.0:
+            serialization_us *= factor
+        yield self._wire(src, dst, serialization_us, spec.latency_us)
+        return faults.deliverable(src, dst)
 
-        # Cut-through pipeline: the receive side trails the transmit
-        # side by the wire latency and both occupy their engines for the
-        # serialization time; end-to-end = latency + nbytes/bw when
-        # uncontended, and endpoint contention queues naturally.
-        tx_side = self.env.process(
-            self._hold(src.nic_tx, 0.0, serialization_us), name="hold"
-        )
-        rx_side = self.env.process(
-            self._hold(dst.nic_rx, spec.latency_us, serialization_us), name="hold"
-        )
-        yield tx_side & rx_side
-        if self.faults is not None and not self.faults.deliverable(src, dst):
-            return False
-        return True
+
+def _arrive(arrival: Event) -> None:
+    """Arrival callback of a wire transfer: the bytes reach ``dst``,
+    which claims its receive engine now and schedules ``done`` (value
+    True) for when both engines have finished with the message."""
+    dst, serialization_us, tx_end, done = arrival._value
+    env = arrival.env
+    now = env._now
+    start = dst.rx_free_at
+    if start < now:
+        start = now
+    rx_end = start + serialization_us
+    dst.rx_free_at = rx_end
+    done._ok = True
+    done._value = True
+    env._eid += 1
+    heappush(env._queue, (tx_end if tx_end > rx_end else rx_end, NORMAL, env._eid, done))

@@ -164,7 +164,7 @@ class Environment:
                 # Priority below URGENT so same-instant urgent events run first.
                 self._eid += 1
                 heapq.heappush(self._queue, (at, NORMAL, self._eid, stop))
-            stop.add_callback(self._stop_callback)
+            stop.callbacks.append(_StopHook(stop.callbacks))
 
         eid_start = self._eid
         try:
@@ -238,9 +238,27 @@ class Environment:
                     free_events.append(event)
         raise EmptySchedule()
 
-    @staticmethod
-    def _stop_callback(event: Event) -> None:
-        raise StopSimulation(event)
-
     def __repr__(self) -> str:
         return f"<Environment now={self._now} pending={len(self._queue)}>"
+
+
+class _StopHook:
+    """Callback that ends :meth:`Environment.run` when ``until`` fires.
+
+    Callbacks registered after the hook (processes that started waiting
+    on ``until`` once the run was under way) sit behind it in the
+    event's callback list, which the scheduler has already detached
+    from the event; the hook runs them before stopping so none is
+    stranded.
+    """
+
+    __slots__ = ("callbacks",)
+
+    def __init__(self, callbacks: list):
+        self.callbacks = callbacks
+
+    def __call__(self, event: Event) -> None:
+        callbacks, self.callbacks = self.callbacks, None
+        for callback in callbacks[callbacks.index(self) + 1 :]:
+            callback(event)
+        raise StopSimulation(event)

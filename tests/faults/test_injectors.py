@@ -201,6 +201,44 @@ def test_slow_nic_scales_transfer_time():
     assert slowed > 2.0 * baseline  # serialization dominates at 1 MB
 
 
+def test_destination_crash_mid_flight_loses_the_transfer():
+    env, fabric = make_fabric({"kind": "node_crash", "at": 100, "node": "b"})
+    a = fabric.add_node("a")
+    b = fabric.add_node("b")
+    done = {}
+
+    def proc(env):
+        # ~700 us of serialization: the crash lands while bytes fly.
+        done["delivered"] = yield fabric.transfer(a, b, 1 << 20, IPOIB_QDR)
+        done["at"] = env.now
+
+    env.run(env.process(proc(env)))
+    assert done["delivered"] is False
+    assert done["at"] == IPOIB_QDR.latency_us + (1 << 20) / IPOIB_QDR.bandwidth
+
+
+def test_slow_nic_armed_during_a_partition_park_applies_at_departure():
+    env, fabric = make_fabric(
+        {"kind": "partition", "at": 1_000, "until": 50_000,
+         "between": [["a"], ["b"]]},
+        {"kind": "slow_nic", "at": 20_000, "node": "b", "factor": 4.0},
+    )
+    a = fabric.add_node("a")
+    b = fabric.add_node("b")
+    done = {}
+
+    def proc(env):
+        yield env.timeout(1_500)  # parked before the NIC slows down
+        done["delivered"] = yield fabric.transfer(a, b, 1 << 20, IPOIB_QDR)
+        done["at"] = env.now
+
+    env.run(env.process(proc(env)))
+    assert done["delivered"] is True
+    assert done["at"] == 50_000 + IPOIB_QDR.latency_us + 4.0 * (
+        (1 << 20) / IPOIB_QDR.bandwidth
+    )
+
+
 def test_slow_disk_factor_lookup_and_window_end():
     env, fabric = make_fabric(
         {"kind": "slow_disk", "at": 0, "until": 1_000, "node": "dn1",

@@ -4,7 +4,7 @@ import pytest
 
 from repro.calibration import IB_EAGER, IPOIB_QDR, ONE_GIGE, TEN_GIGE, CostModel
 from repro.net import Fabric
-from repro.simcore import Environment
+from repro.simcore import Environment, Process
 
 
 @pytest.fixture
@@ -116,3 +116,24 @@ def test_distinct_node_pairs_transfer_in_parallel(fabric):
     env.run(done)
     serialization = nbytes / IPOIB_QDR.bandwidth
     assert env.now == pytest.approx(serialization + IPOIB_QDR.latency_us, rel=0.01)
+
+
+def test_uncontended_transfer_costs_two_events_and_no_process(fabric, monkeypatch):
+    """Arrival plus completion: the NIC engines are closed-form, so a
+    wire transfer spawns no process when no faults are armed."""
+    env = fabric.env
+    a, b = fabric.add_node("a"), fabric.add_node("b")
+    spawned = []
+    init = Process.__init__
+
+    def counting_init(self, *args, **kwargs):
+        spawned.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Process, "__init__", counting_init)
+    eid = env._eid
+    done = fabric.transfer(a, b, 4096, IB_EAGER)
+    assert env.run(done) is True
+    assert env._eid - eid == 2
+    assert spawned == []
+    assert env.now == IB_EAGER.latency_us + 4096 / IB_EAGER.bandwidth

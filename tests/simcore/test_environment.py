@@ -58,6 +58,30 @@ def test_run_until_failed_processed_event_raises():
         env.run(p)  # already processed: re-raises immediately
 
 
+def test_run_until_event_resumes_waiters_that_joined_during_the_run():
+    """A process that starts waiting on the stop event after ``run``
+    began still wakes when it fires, in the same run."""
+    env = Environment()
+    ev = env.event()
+    woke = []
+
+    def waiter(env):
+        yield env.timeout(1)
+        value = yield ev
+        woke.append((env.now, value))
+
+    def firer(env):
+        yield env.timeout(2)
+        ev.succeed("x")
+
+    env.process(waiter(env))
+    env.process(firer(env))
+    assert env.run(until=ev) == "x"
+    assert woke == [(2, "x")]
+    env.run()
+    assert woke == [(2, "x")]
+
+
 def test_run_until_event_that_can_never_fire():
     env = Environment()
     orphan = env.event()
