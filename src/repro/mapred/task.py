@@ -107,12 +107,6 @@ class ChildTask:
             yield grant
             yield self.env.timeout(disk.seek_us + nbytes / disk.seq_write)
 
-    def _local_disk_read(self, nbytes: int):
-        disk = self.model.disk
-        with self.tracker.local_disk.request() as grant:
-            yield grant
-            yield self.env.timeout(disk.seek_us + nbytes / disk.seq_read)
-
     # ------------------------------------------------------------------
     # map side
     # ------------------------------------------------------------------

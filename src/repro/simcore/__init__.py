@@ -29,13 +29,8 @@ from repro.simcore.events import (
 )
 from repro.simcore.process import Interrupt, Process
 from repro.simcore.environment import Environment
-from repro.simcore.resources import (
-    FilterStore,
-    PriorityResource,
-    Resource,
-    Store,
-)
-from repro.simcore.monitor import Counter, Histogram, StatsRegistry, Tally, TimeWeighted
+from repro.simcore.resources import FilterStore, Resource, Store
+from repro.simcore.monitor import Counter, Histogram, Tally, TimeWeighted
 from repro.simcore.rng import RngRegistry, named_stream, stable_seed
 
 __all__ = [
@@ -49,11 +44,9 @@ __all__ = [
     "FilterStore",
     "Histogram",
     "Interrupt",
-    "PriorityResource",
     "Process",
     "Resource",
     "RngRegistry",
-    "StatsRegistry",
     "Store",
     "Tally",
     "TimeWeighted",

@@ -20,9 +20,9 @@ class StopSimulation(Exception):
 
 
 #: Cumulative number of events scheduled across all :meth:`Environment.run`
-#: calls in this interpreter.  Read by the benchmark harness
-#: (``python -m repro.experiments bench``) to report events/sec; updated
-#: once per ``run()`` call, never in the hot loop.
+#: calls in this interpreter.  Read by the repo benchmark (``perfbench/``)
+#: to report events per op and per host second; updated once per
+#: ``run()`` call, never in the hot loop.
 _events_total = 0
 
 

@@ -1,4 +1,4 @@
-"""Shared-resource primitives: Resource, PriorityResource, Store.
+"""Shared-resource primitives: Resource, Store, FilterStore.
 
 These model the contention points of the simulated systems: RPC handler
 pools, NIC transmit engines, disk arms, call queues.  The API follows
@@ -9,8 +9,6 @@ on exit (including when the waiting process is interrupted).
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from collections import deque
 from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Optional
@@ -24,9 +22,9 @@ if TYPE_CHECKING:  # pragma: no cover
 class Request(Event):
     """A pending or granted claim on a :class:`Resource` slot."""
 
-    __slots__ = ("resource", "key")
+    __slots__ = ("resource",)
 
-    def __init__(self, resource: "Resource", key: tuple = ()):
+    def __init__(self, resource: "Resource"):
         # Event.__init__ inlined: one Request per resource claim makes
         # this constructor hot on the RPC path.
         self.env = resource.env
@@ -35,7 +33,6 @@ class Request(Event):
         self._ok = None
         self._defused = False
         self.resource = resource
-        self.key = key
         resource._do_request(self)
 
     def cancel(self) -> None:
@@ -91,13 +88,7 @@ class Resource:
             env._eid += 1
             heappush(env._queue, (env._now, NORMAL, env._eid, request))
         else:
-            self._enqueue(request)
-
-    def _enqueue(self, request: Request) -> None:
-        self.queue.append(request)
-
-    def _dequeue(self) -> Optional[Request]:
-        return self.queue.popleft() if self.queue else None
+            self.queue.append(request)
 
     def _cancel(self, request: Request) -> None:
         try:
@@ -106,10 +97,9 @@ class Resource:
             pass
 
     def _grant_next(self) -> None:
-        while len(self.users) < self.capacity:
-            nxt = self._dequeue()
-            if nxt is None:
-                return
+        queue = self.queue
+        while queue and len(self.users) < self.capacity:
+            nxt = queue.popleft()
             if nxt.triggered:  # cancelled-but-not-removed safety
                 continue
             self.users.append(nxt)
@@ -120,32 +110,6 @@ class Resource:
             f"<{type(self).__name__} {self.count}/{self.capacity} used,"
             f" {len(self.queue)} queued>"
         )
-
-
-class PriorityResource(Resource):
-    """Resource whose waiters are served by (priority, FIFO) order.
-
-    Lower ``priority`` values are served first.
-    """
-
-    def __init__(self, env: "Environment", capacity: int = 1):
-        super().__init__(env, capacity)
-        self.queue: list = []  # heap of (priority, seq, request)
-        self._seq = itertools.count()
-
-    def request(self, priority: int = 0) -> Request:  # type: ignore[override]
-        return Request(self, key=(priority,))
-
-    def _enqueue(self, request: Request) -> None:
-        priority = request.key[0] if request.key else 0
-        heapq.heappush(self.queue, (priority, next(self._seq), request))
-
-    def _dequeue(self) -> Optional[Request]:
-        return heapq.heappop(self.queue)[2] if self.queue else None
-
-    def _cancel(self, request: Request) -> None:
-        self.queue = [entry for entry in self.queue if entry[2] is not request]
-        heapq.heapify(self.queue)
 
 
 class StorePut(Event):

@@ -34,6 +34,16 @@ from tests.experiments.test_golden_fig5 import (
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_crossover.json"
 
+#: headline of the smoke grid (4 sizes, 6 iterations, 4 x 8 mixed ops).
+SMOKE_HEADLINE = {
+    "crossover_static": 524288,
+    "crossover_warm": 49152,
+    "mixed_speedup": 1.0021798098125951,
+    "predictor_hits": 40,
+    "predictor_misses": 0,
+    "preposted_sends": 4,
+}
+
 #: every adaptive-transport key at its shipped default — the explicit
 #: spelling the bit-identity tests inject.
 ADAPTIVE_DEFAULTS = {
@@ -75,6 +85,17 @@ def test_crossover_smoke_is_deterministic_across_runs():
     first = json.loads(json.dumps(crossover.run(**crossover.SMOKE_PARAMS)))
     second = json.loads(json.dumps(crossover.run(**crossover.SMOKE_PARAMS)))
     assert first == second
+    # The smoke grid's own headline, exact.
+    head = first["headline"]
+    adaptive = first["mixed"]["adaptive"]
+    assert {
+        "crossover_static": head["crossover_static"],
+        "crossover_warm": head["crossover_warm"],
+        "mixed_speedup": head["mixed_speedup"],
+        "predictor_hits": adaptive["predictor_hits"],
+        "predictor_misses": adaptive["predictor_misses"],
+        "preposted_sends": adaptive["preposted_sends"],
+    } == SMOKE_HEADLINE
 
 
 def test_explicit_adaptive_off_reproduces_fig5_golden(monkeypatch):

@@ -14,7 +14,8 @@ monotone — the second test keeps those bars honest if the fixture is
 ever regenerated.
 
 The determinism gate runs the scaled-down SMOKE_PARAMS grid twice
-(the full grid takes ~35 s; determinism is parameter-independent).
+(the full grid takes ~35 s; determinism is parameter-independent) and
+pins that grid's headline exactly.
 """
 
 import json
@@ -30,6 +31,16 @@ from tests.experiments.test_golden_fig5 import (
 )
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_incast.json"
+
+#: headline of the smoke grid (256 clients, windows 1/8/32, 4 ops each).
+SMOKE_HEADLINE = {
+    "sockets_speedup": 2.75652034864419,
+    "sockets_window": 32,
+    "rpcoib_speedup": 1.6454842716848024,
+    "rpcoib_window": 32,
+    "sockets_baseline_calls_s": 77905.61340933957,
+    "sockets_best_calls_s": 214748.4086364522,
+}
 
 
 def test_incast_is_bit_identical_to_fixture():
@@ -56,6 +67,17 @@ def test_incast_smoke_is_deterministic_across_runs():
     first = json.loads(json.dumps(incast.run(**incast.SMOKE_PARAMS)))
     second = json.loads(json.dumps(incast.run(**incast.SMOKE_PARAMS)))
     assert first == second
+    # The smoke grid's own headline, exact.
+    head = first["headline"]
+    cell = first["series"]["sockets"]["256"]
+    assert {
+        "sockets_speedup": head["sockets"]["speedup"],
+        "sockets_window": head["sockets"]["window"],
+        "rpcoib_speedup": head["rpcoib"]["speedup"],
+        "rpcoib_window": head["rpcoib"]["window"],
+        "sockets_baseline_calls_s": cell["baseline"]["throughput_calls_s"],
+        "sockets_best_calls_s": cell["windows"][-1]["throughput_calls_s"],
+    } == SMOKE_HEADLINE
 
 
 def test_explicit_async_off_reproduces_fig5_golden(monkeypatch):

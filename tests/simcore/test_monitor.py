@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.simcore import Counter, Histogram, StatsRegistry, Tally, TimeWeighted
+from repro.simcore import Counter, Histogram, Tally, TimeWeighted
 
 
 def test_counter_add_and_reset():
@@ -133,22 +133,3 @@ def test_histogram_items_labels():
     h.observe(15)
     labels = dict(h.items())
     assert labels == {"<=10": 0, "<=20": 1, ">20": 0}
-
-
-def test_registry_reuses_monitors():
-    reg = StatsRegistry()
-    assert reg.counter("a") is reg.counter("a")
-    assert reg.tally("b") is reg.tally("b")
-    assert reg.timeweighted("c") is reg.timeweighted("c")
-
-
-def test_registry_snapshot():
-    reg = StatsRegistry()
-    reg.counter("rpc.calls").add(3)
-    reg.tally("rpc.latency").observe(10.0)
-    reg.tally("empty")  # no samples: excluded
-    snap = reg.snapshot()
-    assert snap["counter.rpc.calls"] == 3
-    assert snap["tally.rpc.latency.mean"] == 10.0
-    assert snap["tally.rpc.latency.count"] == 1
-    assert "tally.empty.mean" not in snap

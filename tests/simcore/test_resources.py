@@ -1,8 +1,8 @@
-"""Unit tests for Resource, PriorityResource, Store, FilterStore."""
+"""Unit tests for Resource, Store, FilterStore."""
 
 import pytest
 
-from repro.simcore import Environment, FilterStore, PriorityResource, Resource, Store
+from repro.simcore import Environment, FilterStore, Resource, Store
 
 
 # ---------------------------------------------------------------- Resource
@@ -109,54 +109,6 @@ def test_interrupted_waiter_via_context_manager_leaves_queue():
     env.process(interrupter(env))
     env.run(p)
     assert len(res.queue) == 0
-
-
-# ---------------------------------------------------------- PriorityResource
-def test_priority_resource_serves_low_priority_first():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def user(env, name, priority):
-        with res.request(priority=priority) as req:
-            yield req
-            order.append(name)
-            yield env.timeout(1)
-
-    def starter(env):
-        # occupy, let others queue, then free
-        with res.request(priority=-10) as req:
-            yield req
-            yield env.timeout(10)
-
-    env.process(starter(env))
-
-    def spawn(env):
-        yield env.timeout(1)
-        env.process(user(env, "low", 5))
-        env.process(user(env, "high", 1))
-        env.process(user(env, "mid", 3))
-
-    env.process(spawn(env))
-    env.run()
-    assert order == ["high", "mid", "low"]
-
-
-def test_priority_ties_are_fifo():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def user(env, name):
-        with res.request(priority=1) as req:
-            yield req
-            order.append(name)
-            yield env.timeout(1)
-
-    for name in ("x", "y", "z"):
-        env.process(user(env, name))
-    env.run()
-    assert order == ["x", "y", "z"]
 
 
 # -------------------------------------------------------------------- Store
