@@ -58,8 +58,9 @@ class Configuration:
         "ipc.ping.interval": 60_000_000.0,  # usec
         # -- async multiplexed client (repro.rpc.mux) ----------------------
         # Share one connection per (address, transport) across every
-        # caller on the node: calls enqueue into a ConnectionMux whose
-        # single sender batches all queued calls into one wire frame.
+        # caller on the node: each connection opened while this is on
+        # holds a Multiplexer, whose single sender batches all queued
+        # calls into one wire frame.
         # Off by default — call-at-a-time semantics (and the existing
         # event schedule) are preserved exactly unless a workload opts in.
         "ipc.client.async.enabled": False,

@@ -50,7 +50,6 @@ from repro.io.writables import BytesWritable
 from repro.net.fabric import Fabric
 from repro.rpc.engine import RPC
 from repro.rpc.microbench import PingPongProtocol, PingPongService
-from repro.rpc.mux import ConnectionMux
 from repro.simcore import Environment
 
 #: client nodes; each runs one shared Client (one connection per
@@ -169,12 +168,13 @@ def _run_once(
     max_batch = max_inflight = 0
     for client in node_clients:
         for conn in client._connections.values():
-            if not isinstance(conn, ConnectionMux):
+            mux = conn.mux
+            if mux is None:
                 continue
-            batches_sent += conn.batches_sent
-            calls_batched += conn.calls_batched
-            max_batch = max(max_batch, conn.max_batch)
-            max_inflight = max(max_inflight, conn.max_inflight_seen)
+            batches_sent += mux.batches_sent
+            calls_batched += mux.calls_batched
+            max_batch = max(max_batch, mux.max_batch)
+            max_inflight = max(max_inflight, mux.max_inflight_seen)
     if window is not None:
         # The bounded-pipelining invariant, checked on the real run (the
         # hypothesis suite fuzzes it separately).

@@ -769,7 +769,7 @@ def check_sim009(pctx: ProgramContext) -> Iterator[Finding]:
 #: Conf keys the operator plane can change at runtime.  Mirrors
 #: ``repro.rpc.server.Server.QOS_KEYS`` union
 #: ``repro.rpc.failover.FailoverProxy.RELOADABLE_KEYS`` union
-#: ``repro.rpc.mux.ConnectionMux.RELOADABLE_KEYS`` union
+#: ``repro.rpc.mux.Multiplexer.RELOADABLE_KEYS`` union
 #: ``repro.net.verbs.AdaptiveTransport.RELOADABLE_KEYS`` (asserted in
 #: tests/lint) — the keys ``reconfigure_qos``/``ReloadPlan`` rewires
 #: while the sim runs, the client failover retry policy the proxy

@@ -2,7 +2,9 @@
 
 The caller thread serializes and sends the call (Listing 1); the
 Connection's receiver thread reads responses and completes the waiting
-callers.  Two connection types implement the two engines:
+callers.  Exactly two connection classes implement the two engines —
+the paper's RPCoIB keeps Hadoop's call semantics and swaps only the
+engine underneath:
 
 * :class:`SocketConnection` — the default Writable-over-sockets path
   with its DataOutputBuffer growth, BufferedOutputStream copy, and
@@ -24,11 +26,20 @@ back to :class:`SocketConnection` transparently — in-flight calls are
 re-issued, the ``rpc.ib.fallbacks`` counter records the event, and the
 active span is annotated.
 
+:class:`BaseConnection` owns what the engines share: the one
+``send_call`` (serialize in the caller, then write the frame inline or
+hand it to the connection's :class:`repro.rpc.mux.Multiplexer`), the
+keeper, and the one close/failure path that settles every outstanding
+call exactly once.  A connection holds a multiplexer only when
+``ipc.client.async.enabled`` was on at connect; it then serves every
+protocol at its address and its sender flushes queued calls as batches
+through the engine's batch write.
+
 The wire format is not defined here: :mod:`repro.rpc.frames` is its
-single owner.  Each engine encodes a call through one ``_encode_call``
-(shared with the multiplexed subclasses), and every receive loop decodes
-through ``frames.read_responses`` — a single response is the one-entry
-case of a batch — and settles through :meth:`BaseConnection._settle`.
+single owner.  Each engine encodes a call through one ``_encode_call``,
+and every receive loop decodes through ``frames.read_responses`` — a
+single response is the one-entry case of a batch — and settles through
+:meth:`BaseConnection._settle`.
 """
 
 from __future__ import annotations
@@ -71,6 +82,7 @@ from repro.rpc.call import (
 )
 from repro.rpc.frames import PING_CALL_ID
 from repro.rpc.metrics import CallProfile, RpcMetrics
+from repro.rpc.mux import Multiplexer
 from repro.rpc.protocol import RpcProtocol
 from repro.simcore.process import Process
 
@@ -83,8 +95,13 @@ class IBBootstrapError(ConnectionError):
 #: ``ipc.client.async.enabled`` is on: a multiplexed connection is
 #: shared per (address, transport) by *all* protocols on the node, so
 #: it must never collide with a per-protocol key (protocol names are
-#: dotted identifiers, never dunder strings).
+#: dotted identifiers, never dunder strings).  A connection opened
+#: under it holds a :class:`Multiplexer`.
 MUX_CONNECTION_KEY = "__mux__"
+
+#: initial capacity of the RPCoIB mux's aggregation buffer — warm enough
+#: that a typical window of small calls gathers without growth charges.
+_IB_AGGREGATION_INITIAL = 4096
 
 
 #: Values the ``ipc.client.*.retry.policy`` keys accept.
@@ -360,19 +377,18 @@ class Client:
 
     def close(self) -> None:
         for conn in list(self._connections.values()):
-            conn.close()
-        self._connections.clear()
+            conn.close()  # leaves the table
 
     # -- connection management -----------------------------------------------
     def _get_connection(
         self, address: SocketAddress, protocol: Type[RpcProtocol], parent=None
     ):
-        if self._call_conf()[4]:
-            # Multiplexed mode: one shared connection per (address,
-            # transport), whatever the protocol.
-            key = (address, MUX_CONNECTION_KEY)
-        else:
-            key = (address, protocol.protocol_name())
+        # Multiplexed mode: one shared connection per (address,
+        # transport), whatever the protocol.
+        key = (
+            address,
+            MUX_CONNECTION_KEY if self._call_conf()[4] else protocol.protocol_name(),
+        )
         while True:
             conn = self._connections.get(key)
             if conn is not None and not conn.closed:
@@ -391,7 +407,7 @@ class Client:
                 address=str(address),
             )
             try:
-                conn = yield from self._establish(address, protocol, cspan)
+                conn = yield from self._establish(address, protocol, key, cspan)
                 self._connections[key] = conn
                 return conn
             finally:
@@ -399,28 +415,19 @@ class Client:
                 del self._connecting[key]
                 gate.succeed()
 
-    def _establish(self, address, protocol, cspan):
+    def _establish(self, address, protocol, key, cspan):
         """Connect with Hadoop's retry policy; RPCoIB bootstrap failures
         degrade to the sockets engine instead of consuming retries."""
         conf = self.conf
         max_retries = conf.get_int("ipc.client.connect.max.retries")
         interval_us = conf.get_float("ipc.client.connect.retry.interval")
         policy = retry_policy(conf, "ipc.client.connect.retry.policy")
-        if self._call_conf()[4]:
-            # Imported lazily: repro.rpc.mux subclasses the connection
-            # classes below, so a module-level import would be circular.
-            from repro.rpc import mux
-
-            ib_cls: type = mux.MuxIBConnection
-            sock_cls: type = mux.MuxSocketConnection
-        else:
-            ib_cls, sock_cls = IBConnection, SocketConnection
         attempt = 0
         while True:
             if self.ib_enabled and address not in self._ib_fallback:
-                conn = ib_cls(self, address, protocol)
+                conn = IBConnection(self, address, protocol, key)
             else:
-                conn = sock_cls(self, address, protocol)
+                conn = SocketConnection(self, address, protocol, key)
             try:
                 yield from conn.setup()
             except IBBootstrapError:
@@ -454,15 +461,9 @@ class Client:
             span.annotate("ib_fallback", reason)
 
     def _forget(self, conn: "BaseConnection") -> None:
-        key = conn.conn_key
-        if self._connections.get(key) is conn:
-            del self._connections[key]
-
-    def _drop_connection(self, conn: "BaseConnection") -> None:
-        """Idle teardown (``ipc.client.connection.maxidletime``); the
-        next call reconnects lazily."""
-        self._forget(conn)
-        conn.close()
+        """Drop a closed connection; the next call reconnects lazily."""
+        if self._connections.get(conn.key) is conn:
+            del self._connections[conn.key]
 
     # -- RPCoIB mid-stream fallback -------------------------------------------
     def _begin_fallback(self, conn: "IBConnection", reason: str) -> None:
@@ -496,7 +497,16 @@ class Client:
 
 
 class BaseConnection:
-    """Shared call-table bookkeeping for both connection flavours.
+    """One connection to a server address: the call table, the one
+    ``send_call``, the keeper and the one close/failure path.
+
+    Each engine subclass keeps only its setup (``_open``), encoding
+    (``_encode_call``), single-frame write (``_write_call``), batch
+    write (``_frame_batch``/``_write_batch``), ping and one receive
+    loop.  A connection opened under the multiplexed key holds a
+    :class:`repro.rpc.mux.Multiplexer` (``self.mux``) that queues,
+    batches and flushes its calls; otherwise each caller writes its own
+    frame inline.
 
     Every established connection runs a *keeper* process — the analogue
     of Hadoop's connection thread housekeeping: it enforces per-call
@@ -505,17 +515,24 @@ class BaseConnection:
     ``ipc.client.connection.maxidletime`` without traffic.
     """
 
-    def __init__(self, client: Client, address: SocketAddress, protocol):
+    #: receive-loop process name prefix.
+    RECEIVER = "rpc-conn-recv"
+
+    def __init__(
+        self, client: Client, address: SocketAddress, protocol,
+        key: Tuple[SocketAddress, str],
+    ):
         self.client = client
         self.env = client.env
         self.model = client.model
         self.address = address
         self.protocol = protocol
         self.protocol_name = protocol.protocol_name()
-        #: the connection table key this connection lives under — the
-        #: mux subclasses re-key themselves to (address, MUX_CONNECTION_KEY)
-        #: so one connection serves every protocol on the transport.
-        self.conn_key: Tuple[SocketAddress, str] = (address, self.protocol_name)
+        #: the connection-table key this connection lives under.
+        self.key = key
+        self.mux: Optional[Multiplexer] = (
+            Multiplexer(self) if key[1] == MUX_CONNECTION_KEY else None
+        )
         self.calls: Dict[int, Call] = {}
         self.closed = False
         conf = client.conf
@@ -528,45 +545,78 @@ class BaseConnection:
         self.last_activity = self.env.now
         self._kick = None
         self._keeper = None
+        self._receiver = None
         # The client-daemon heap every call's ledger folds into —
         # resolved once (dict lookup + on-demand creation per absorb
         # otherwise).
         self._heap = client.node.heap("rpc-client")
 
-    # subclasses: setup() generator, send_call(call) generator,
-    # _encode_call(call, ledger), _send_ping() generator, close()
+    def setup(self):
+        """Open the engine, then start the receiver, keeper and sender."""
+        yield from self._open()
+        self._receiver = self.env.process(
+            self._receive_loop(), name=f"{self.RECEIVER}:{self.client.name}"
+        )
+        self._start_keeper()
+        if self.mux is not None:
+            self.mux.start_sender()
 
-    def _serialize(self, call: Call, parent):
-        """Encode ``call`` in the caller's thread and register it.
+    def send_call(self, call: Call):
+        """Listing 1: serialize in the caller's thread, then write the
+        frame inline or hand the encoded call to the connection's mux.
 
-        Returns ``(span, ledger, encoded, serialization_us)``; the
-        caller pays ``ledger.drain()`` on the sim clock, then closes
-        the ``rpc.serialize`` span with :meth:`_end_serialize`.
-        ``encoded`` is ``_encode_call``'s ``(payload, length,
-        adjustments, annotations)``.
+        A queued call returns as soon as it is enqueued: the caller's
+        ``yield call.done`` covers the queue wait, and the
+        ``rpc.mux.queue`` span records it when the sender flushes it.
         """
-        sspan = self.client.fabric.tracer.start(
-            "rpc.serialize", parent=parent, node=self.client.node.name,
-            category="rpc.client",
+        if self.closed:
+            raise SocketClosed(f"{self.client.name}: connection closed")
+        parent = call.span if call.span is not None else NULL_SPAN
+        tracer = self.client.fabric.tracer
+        node = self.client.node.name
+        sspan = tracer.start(
+            "rpc.serialize", parent=parent, node=node, category="rpc.client"
         )
         ledger = CostLedger(self.model)
-        encoded = self._encode_call(call, ledger)
+        payload, length, adjustments, annotations = self._encode_call(call, ledger)
         serialization_us = ledger.total_us
         self.calls[call.id] = call
-        return sspan, ledger, encoded, serialization_us
-
-    @staticmethod
-    def _end_serialize(sspan, encoded) -> None:
-        _, length, adjustments, annotations = encoded
+        yield self.env.timeout(ledger.drain())
         for key, value in annotations:
             sspan.annotate(key, value)
         sspan.annotate("adjustments", adjustments)
         sspan.annotate("message_bytes", length)
         sspan.end()
+        if self.mux is None:
+            dspan = tracer.start(
+                "rpc.send", parent=parent, node=node, category="rpc.client"
+            )
+            send_us = yield from self._write_call(
+                call, payload, length, ledger, parent.context, dspan
+            )
+        else:
+            self._absorb(ledger)
+            self.mux.enqueue(call, payload, length)
+            send_us = 0.0  # the wire flush belongs to the mux's sender
+        self._note_activity()
+        self._wake_keeper()
+        return {
+            "adjustments": adjustments,
+            "serialization_us": serialization_us,
+            "send_us": send_us,
+            "message_bytes": length,
+        }
 
     def _settle(self, responses, receive_start: float, **tags) -> None:
         """Complete every response of one received frame (one wakeup),
-        closing each traced call's ``rpc.recv`` span with ``tags``."""
+        closing each traced call's ``rpc.recv`` span with ``tags``.
+
+        On a multiplexed connection the window slots of a merged batch
+        free *together*, so the sender immediately refills them with an
+        equally big batch (what keeps adaptive batching self-sustaining).
+        """
+        if self.mux is not None:
+            tags["batched"] = len(responses)
         tracer = self.client.fabric.tracer
         for call_id, status, value, error_cls, error_msg in responses:
             call = self.calls.get(call_id)
@@ -583,28 +633,46 @@ class BaseConnection:
 
     def _complete(self, call_id: int, status: int, value, error_cls="", error_msg=""):
         call = self.calls.pop(call_id, None)
-        if call is None:
-            return  # late response to an abandoned call
-        if status == RpcStatus.SUCCESS:
-            call.complete(value)
-        elif error_cls == ServerOverloadedException.CLASS_NAME:
-            call.error(ServerOverloadedException(error_msg))
-        elif error_cls == RetriableException.CLASS_NAME:
-            call.error(RetriableException.from_wire(error_msg))
-        elif error_cls == StandbyException.CLASS_NAME:
-            call.error(StandbyException(error_msg))
-        else:
-            call.error(RemoteException(error_cls, error_msg))
+        if call is not None:  # else: a late response to an abandoned call
+            if status == RpcStatus.SUCCESS:
+                call.complete(value)
+            elif error_cls == ServerOverloadedException.CLASS_NAME:
+                call.error(ServerOverloadedException(error_msg))
+            elif error_cls == RetriableException.CLASS_NAME:
+                call.error(RetriableException.from_wire(error_msg))
+            elif error_cls == StandbyException.CLASS_NAME:
+                call.error(StandbyException(error_msg))
+            else:
+                call.error(RemoteException(error_cls, error_msg))
+        if self.mux is not None:
+            self.mux.free_slot(call_id)
 
     def _fail_all(self, exc: Exception) -> None:
         for call in list(self.calls.values()):
             if not call.done.triggered:
                 call.error(exc)
         self.calls.clear()
+        if self.mux is not None:
+            self.mux.drop_window()
 
     def _absorb(self, ledger: CostLedger) -> None:
         """Fold an activity's allocation churn into the node's heap."""
         self._heap.absorb(ledger)
+
+    # -- the one close/failure path -----------------------------------------
+    def close(self) -> None:
+        """Tear the connection down; every outstanding caller fails."""
+        self._close_transport()
+        self._shutdown(SocketClosed(f"{self.client.name}: connection closed"))
+
+    def _shutdown(self, exc: Exception) -> None:
+        """Mark the connection closed, leave the client's table and fail
+        every outstanding call exactly once (``Call.error`` pre-defuses,
+        and the table is cleared, so a later teardown is a no-op)."""
+        self.closed = True
+        self.client._forget(self)
+        self._fail_all(exc)
+        self._wake_keeper()
 
     # -- keeper: timeouts, pings, idle teardown ---------------------------
     def _start_keeper(self) -> None:
@@ -663,15 +731,14 @@ class BaseConnection:
                 ):
                     try:
                         yield from self._send_ping()
-                    except QPBrokenError:
-                        self._ping_engine_failed()
-                        return
                     except ConnectionError as exc:
-                        self._transport_failed(exc)
+                        # A broken QP has already started the fallback.
+                        if not self.closed:
+                            self._shutdown(exc)
                         return
                     self._note_activity()
             elif self.max_idle_us > 0 and now >= self.last_activity + self.max_idle_us:
-                self.client._drop_connection(self)
+                self.close()
                 return
 
     def _expire_calls(self, now: float) -> None:
@@ -684,26 +751,18 @@ class BaseConnection:
                         f"timed out after {now - call.started_at:.0f}us"
                     )
                 )
-
-    def _transport_failed(self, exc: Exception) -> None:
-        self.closed = True
-        self.client._forget(self)
-        self._fail_all(exc)
-
-    def _ping_engine_failed(self) -> None:
-        """A ping hit a broken engine; subclasses may fall back."""
-        self._transport_failed(ConnectionError("ping failed: engine broken"))
+        if self.mux is not None:
+            self.mux.purge_expired()
 
 
 class SocketConnection(BaseConnection):
     """Default engine: Writable serialization over a socket stream."""
 
-    def __init__(self, client, address, protocol):
-        super().__init__(client, address, protocol)
+    def __init__(self, client, address, protocol, key):
+        super().__init__(client, address, protocol, key)
         self.sock = None
-        self._receiver = None
 
-    def setup(self):
+    def _open(self):
         self.sock = yield simsockets.connect(
             self.client.fabric, self.client.node, self.address, self.client.spec
         )
@@ -715,10 +774,6 @@ class SocketConnection(BaseConnection):
         yield self.env.timeout(ledger.drain())
         self._absorb(ledger)
         yield self.sock.send(frame)
-        self._receiver = self.env.process(
-            self._receive_loop(), name=f"rpc-conn-recv:{self.client.name}"
-        )
-        self._start_keeper()
 
     def _encode_call(self, call: Call, ledger: CostLedger):
         """Listing 1 serialization into a growable DataOutputBuffer."""
@@ -727,38 +782,28 @@ class SocketConnection(BaseConnection):
         # the view stays valid: the buffer is never written again.
         return buf.get_view(), buf.get_length(), buf.adjustments, ()
 
-    def send_call(self, call: Call):
-        """Listing 1: serialize into a DataOutputBuffer, then send."""
-        parent = call.span if call.span is not None else NULL_SPAN
-        sspan, ledger, encoded, serialization_us = self._serialize(call, parent)
-        yield self.env.timeout(ledger.drain())
-        self._end_serialize(sspan, encoded)
-        payload, message_bytes, adjustments, _ = encoded
-
+    def _write_call(self, call, payload, length, ledger, ref, dspan):
+        """Length-prefix the serialized call and write it; returns the
+        send time (completes at local write)."""
         send_start = self.env.now
-        dspan = self.client.fabric.tracer.start(
-            "rpc.send", parent=parent, node=self.client.node.name,
-            category="rpc.client",
-        )
-        frame = frames.stream_frame(ledger, payload, message_bytes)
+        frame = frames.stream_frame(ledger, payload, length)
         yield self.env.timeout(ledger.drain())
-        ref = parent.context  # None when tracing is disabled
-        if ref is not None:
+        if ref is not None:  # None when tracing is disabled
             ref.sent_at = self.env.now
-        yield self.sock.send(frame, trace=ref)  # completes at local write
+        yield self.sock.send(frame, trace=ref)
         send_us = self.env.now - send_start
         # frame = 4-byte length prefix + serialized message.
-        dspan.annotate("frame_bytes", 4 + message_bytes)
+        dspan.annotate("frame_bytes", 4 + length)
         dspan.end()
         self._absorb(ledger)
-        self._note_activity()
-        self._wake_keeper()
-        return {
-            "adjustments": adjustments,
-            "serialization_us": serialization_us,
-            "send_us": send_us,
-            "message_bytes": message_bytes,
-        }
+        return send_us
+
+    def _frame_batch(self, entries, ledger: CostLedger):
+        """Every queued call in one flush (get_view framing)."""
+        return frames.stream_batch(ledger, entries)
+
+    def _write_batch(self, chunks, refs):
+        yield self.sock.send(chunks, trace=refs)
 
     def _send_ping(self):
         """Hadoop ``Client.sendPing``: a PING_CALL_ID frame, liveness only."""
@@ -771,48 +816,64 @@ class SocketConnection(BaseConnection):
         yield self.sock.send(frame)
 
     def _receive_loop(self):
-        """Connection thread: read responses, complete waiting callers."""
+        """Connection thread: read response frames, complete callers.
+
+        A call-at-a-time connection reads each frame with two blocking
+        ``recv``s (length prefix, then body).  A multiplexed one takes
+        everything the kernel already buffered in one read, so a
+        server-merged response batch costs one wakeup.  The
+        ``rpc.recv`` span of a frame starts once its length prefix has
+        been read.
+        """
         sw = self.model.software
+        bulk = self.mux is not None
+        pending = bytearray()
+        receive_start = None
         while not self.closed:
-            try:
-                header = yield self.sock.recv(4)
-            except SocketClosed:
-                break
-            receive_start = self.env.now
+            if len(pending) < 4:
+                need = 4 - len(pending)
+            else:
+                if receive_start is None:
+                    receive_start = self.env.now
+                frame_len = int.from_bytes(pending[:4], "big")
+                need = 4 + frame_len - len(pending)
+            if need > 0:
+                try:
+                    chunk = yield self.sock.recv(
+                        max(need, self.sock.available) if bulk else need
+                    )
+                except SocketClosed:
+                    break
+                pending += chunk
+                continue
             ledger = CostLedger(self.model)
             ledger.charge_heap_alloc(4)
-            length = int.from_bytes(header, "big")
             # Listing 2's client analogue: allocate a heap buffer for
             # the whole response, copy it up from the native layer.
-            ledger.charge_heap_alloc(length)
-            try:
-                payload = yield self.sock.recv(length)
-            except SocketClosed:
-                break
-            ledger.charge_copy(length)
+            ledger.charge_heap_alloc(frame_len)
+            ledger.charge_copy(frame_len)
+            payload = bytes(memoryview(pending)[4 : 4 + frame_len])
+            del pending[: 4 + frame_len]
             responses = frames.read_responses(DataInputBuffer(payload, ledger))
             yield self.env.timeout(ledger.drain() + sw.thread_handoff_us)
             self._absorb(ledger)
-            self._settle(responses, receive_start, response_bytes=length)
-        self.closed = True
-        self.client._forget(self)
-        self._fail_all(SocketClosed("connection closed"))
-        self._wake_keeper()
+            self._settle(responses, receive_start, response_bytes=frame_len)
+            receive_start = None
+        self._shutdown(SocketClosed("connection closed"))
 
-    def close(self) -> None:
-        self.closed = True
+    def _close_transport(self) -> None:
         if self.sock is not None:
             self.sock.close()
-        self._wake_keeper()
 
 
 class IBConnection(BaseConnection):
     """RPCoIB engine: endpoint bootstrap, then verbs/RDMA data path."""
 
-    def __init__(self, client, address, protocol):
-        super().__init__(client, address, protocol)
+    RECEIVER = "rpcoib-conn-recv"
+
+    def __init__(self, client, address, protocol, key):
+        super().__init__(client, address, protocol, key)
         self.qp: Optional[QueuePair] = None
-        self._receiver = None
         self._adaptive: Optional[AdaptiveTransport] = None
 
     @property
@@ -827,7 +888,7 @@ class IBConnection(BaseConnection):
             )
         return self._adaptive
 
-    def setup(self):
+    def _open(self):
         """Section III-D: use the socket address to exchange endpoint
         information, then all communication goes through native IB."""
         fabric = self.client.fabric
@@ -852,10 +913,6 @@ class IBConnection(BaseConnection):
         endpoint = Endpoint(fabric, self.client.node, name=f"ep:{self.client.name}")
         self.qp = server.accept_ib(endpoint, self.protocol_name)
         sock.close()  # bootstrap channel no longer needed
-        self._receiver = self.env.process(
-            self._receive_loop(), name=f"rpcoib-conn-recv:{self.client.name}"
-        )
-        self._start_keeper()
 
     @property
     def rdma_threshold(self) -> int:
@@ -866,47 +923,58 @@ class IBConnection(BaseConnection):
 
         The annotations record Section III-C pool behaviour: whether
         the size-history prediction held, and any pool-doubling growths
-        (RPCoIB's analogue of Algorithm-1 adjustments).
+        (RPCoIB's analogue of Algorithm-1 adjustments).  A multiplexed
+        connection snapshots the payload at hand-off so the pooled
+        buffer recycles immediately; the gather copy into the aggregated
+        post is charged at the sender.
         """
         pool = self.client.pool
         predicted = pool.predicted_size(self.protocol_name, call.method)
         out = RDMAOutputStream(pool, self.protocol_name, call.method, ledger)
         frames.write_call(out, call.id, call.method, call.params)
+        adjustments = out.grow_count
         annotations = (
             ("pool_predicted_bytes", predicted),
-            ("pool_hit", out.grow_count == 0),
+            ("pool_hit", adjustments == 0),
         )
-        return out, out.get_length(), out.grow_count, annotations
-
-    def send_call(self, call: Call):
-        """Serialize straight into a pooled registered buffer and post."""
-        parent = call.span if call.span is not None else NULL_SPAN
-        sspan, ledger, encoded, serialization_us = self._serialize(call, parent)
-        yield self.env.timeout(ledger.drain())
-        self._end_serialize(sspan, encoded)
-        out, message_bytes, adjustments, _ = encoded
-
-        send_start = self.env.now
-        dspan = self.client.fabric.tracer.start(
-            "rpc.send", parent=parent, node=self.client.node.name,
-            category="rpc.client",
-        )
+        if self.mux is None:
+            return out, out.get_length(), adjustments, annotations
         buffer, length = out.detach()
-        ref = parent.context  # None when tracing is disabled
-        if ref is not None:
+        with memoryview(buffer.data) as view:
+            payload = bytes(view[:length])
+        out.release()
+        return payload, length, adjustments, annotations
+
+    def _post(self, data, length, **kwargs):
+        """Post on the QP.  A QP that broke under the post fails this
+        engine over to sockets; on a closed connection the caller's
+        call already belongs to the close or the fallback.  Both raise
+        :class:`QPBrokenError`."""
+        if self.qp.closed:
+            raise QPBrokenError(f"{self.address}: connection closed")
+        try:
+            yield self.qp.post_send(data, length, **kwargs)
+        except QPBrokenError:
+            self._engine_failed("qp_break")
+            raise
+
+    def _write_call(self, call, out, length, ledger, ref, dspan):
+        """Post the pooled buffer; returns the post time."""
+        send_start = self.env.now
+        buffer, length = out.detach()
+        if ref is not None:  # None when tracing is disabled
             ref.sent_at = self.env.now
         # One resolved decision feeds the post, the costs, and the trace
         # tag — the classify() hoist that keeps them from drifting.
         choice = self.adaptive.choose(self.protocol_name, call.method, length)
         try:
-            yield self.qp.post_send(
+            yield from self._post(
                 buffer, length, choice=choice, context=call.id, trace=ref,
             )
         except QPBrokenError:
             out.release()
             dspan.annotate("error", "QPBrokenError").end()
             self._absorb(ledger)
-            self._engine_failed("qp_break")
             raise
         send_us = self.env.now - send_start
         out.release()  # buffer reusable: payload snapshotted at post
@@ -917,14 +985,20 @@ class IBConnection(BaseConnection):
             dspan.annotate("preposted", choice.preposted)
         dspan.end()
         self._absorb(ledger)
-        self._note_activity()
-        self._wake_keeper()
-        return {
-            "adjustments": adjustments,
-            "serialization_us": serialization_us,
-            "send_us": send_us,
-            "message_bytes": message_bytes,
-        }
+        return send_us
+
+    def _frame_batch(self, entries, ledger: CostLedger):
+        """Aggregate the window into one buffer (Ibdxnet-style ORB);
+        ``buf.write`` is the aggregation copy, charged here."""
+        buf = DataOutputBuffer(ledger, initial_size=_IB_AGGREGATION_INITIAL)
+        frames.write_batch(buf, entries, buf.write)
+        return buf
+
+    def _write_batch(self, buf, refs):
+        yield from self._post(
+            buf.get_view(), buf.get_length(),
+            rdma_threshold=self.rdma_threshold, trace=refs,
+        )
 
     def _send_ping(self):
         """PING frame over the verbs engine (always eager-sized)."""
@@ -936,7 +1010,7 @@ class IBConnection(BaseConnection):
         yield self.env.timeout(ledger.drain())
         buffer, length = out.detach()
         try:
-            yield self.qp.post_send(
+            yield from self._post(
                 buffer, length, rdma_threshold=self.rdma_threshold
             )
         finally:
@@ -967,22 +1041,19 @@ class IBConnection(BaseConnection):
             )
 
     def _engine_failed(self, reason: str) -> None:
-        """The QP broke: close this engine and migrate in-flight calls
-        to the always-present sockets path (graceful degradation)."""
+        """The QP broke: close this engine and migrate every registered
+        call — in flight or still queued on the mux — to the
+        always-present sockets path (graceful degradation)."""
         if self.closed:
             return
         self.closed = True
-        if self.qp is not None:
-            self.qp.close()
+        self.qp.close()
         self.client._forget(self)
         self._wake_keeper()
         self.client._begin_fallback(self, reason)
+        if self.mux is not None:
+            self.mux.drop_window()
 
-    def _ping_engine_failed(self) -> None:
-        self._engine_failed("qp_break")
-
-    def close(self) -> None:
-        self.closed = True
+    def _close_transport(self) -> None:
         if self.qp is not None:
             self.qp.close()
-        self._wake_keeper()

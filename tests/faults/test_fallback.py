@@ -1,6 +1,7 @@
 """RDMA -> socket graceful degradation (Section III-D failure paths)."""
 
 from repro.io.writables import Text
+from repro.rpc.client import SocketConnection
 
 from tests.faults.conftest import faulted_harness
 
@@ -74,8 +75,6 @@ def test_qp_break_with_full_window_reissues_every_unacknowledged_call():
     it: a mid-stream QP break must migrate every unacknowledged call —
     in-flight and queued alike — to the fallback socket path exactly
     once, and every caller still gets its answer."""
-    from repro.rpc.mux import MuxSocketConnection
-
     with faulted_harness(
         {"kind": "qp_break", "at": 100_000, "node": "server"},
         ib=True,
@@ -98,13 +97,13 @@ def test_qp_break_with_full_window_reissues_every_unacknowledged_call():
         assert sorted(results) == [(i, Text(f"w{i}")) for i in range(12)]
         assert fallback_count(h) >= 1
         assert h.server.address in h.client._ib_fallback
-        # The fallback connection is the *mux* socket flavour, and it
-        # carried exactly the 12 unacknowledged calls — each re-issued
-        # once, none duplicated, none dropped.
+        # The fallback connection is a *multiplexed* socket connection,
+        # and it carried exactly the 12 unacknowledged calls — each
+        # re-issued once, none duplicated, none dropped.
         (conn,) = h.client._connections.values()
-        assert isinstance(conn, MuxSocketConnection)
-        assert conn.calls_batched == 12
-        assert not conn.calls and not conn._inflight_ids
+        assert type(conn) is SocketConnection and conn.mux is not None
+        assert conn.mux.calls_batched == 12
+        assert not conn.calls and not conn.mux._inflight_ids
 
 
 def test_no_fallback_without_faults():

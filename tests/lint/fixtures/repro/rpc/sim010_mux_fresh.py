@@ -3,7 +3,7 @@
 Same reloadable key as ``sim010_mux_stale.py``, but nothing is cached
 during construction — the window is read (and stamp-cached) on the
 send path, which re-reads whenever ``conf.version`` moves.  This is
-exactly how ``repro.rpc.mux.ConnectionMux`` retunes a live connection
+exactly how ``repro.rpc.mux.Multiplexer`` retunes a live connection
 without a subscribe listener.
 """
 

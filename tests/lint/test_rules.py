@@ -621,13 +621,13 @@ def test_sim010_keys_mirror_runtime_reload_surface():
     from repro.lint.rules import RELOADABLE_CONF_KEYS
     from repro.net.verbs import AdaptiveTransport
     from repro.rpc.failover import FailoverProxy
-    from repro.rpc.mux import ConnectionMux
+    from repro.rpc.mux import Multiplexer
     from repro.rpc.server import Server
 
     assert RELOADABLE_CONF_KEYS == (
         Server.QOS_KEYS
         | FailoverProxy.RELOADABLE_KEYS
-        | ConnectionMux.RELOADABLE_KEYS
+        | Multiplexer.RELOADABLE_KEYS
         | AdaptiveTransport.RELOADABLE_KEYS
     )
 

@@ -13,7 +13,7 @@ from repro.io.writables import Text
 from repro.obs.runtime import obs_session
 from repro.rpc.call import Call, RetriesExhaustedError
 from repro.rpc.client import BaseConnection
-from repro.rpc.mux import ConnectionMux
+from repro.rpc.mux import Multiplexer
 from repro.simcore import sanitizer as sim_sanitizer
 
 from tests.rpc.conftest import RpcHarness
@@ -26,10 +26,10 @@ def mux_harness(ib: bool, window: int = 8) -> RpcHarness:
     return harness
 
 
-def the_mux(harness) -> ConnectionMux:
+def the_mux(harness) -> Multiplexer:
     (conn,) = harness.client._connections.values()
-    assert isinstance(conn, ConnectionMux)
-    return conn
+    assert isinstance(conn.mux, Multiplexer)
+    return conn.mux
 
 
 @pytest.mark.parametrize("ib", [False, True], ids=["sockets", "rpcoib"])
@@ -61,13 +61,19 @@ def test_many_callers_share_one_connection_and_one_keeper(monkeypatch, ib):
     assert len(keeper_starts) == 1
 
 
-@pytest.mark.parametrize("ib", [False, True], ids=["sockets", "rpcoib"])
+@pytest.mark.parametrize(
+    "ib, async_on",
+    [(False, True), (True, True), (False, False), (True, False)],
+    ids=["sockets", "rpcoib", "sockets-call", "rpcoib-call"],
+)
 def test_close_fails_whole_window_exactly_once_no_stranded_waiters(
-    monkeypatch, ib
+    monkeypatch, ib, async_on
 ):
     """``close()`` with queued + in-flight callers: every caller settles
     with an error exactly once, the mux state drains, and the sanitizer
-    sees no stranded process or leaked buffer."""
+    sees no stranded process or leaked buffer.  A call-at-a-time
+    connection (async off) takes the same close path: its in-flight
+    callers fail too instead of waiting forever."""
     failed_ids = []
     original_error = Call.error
 
@@ -82,6 +88,7 @@ def test_close_fails_whole_window_exactly_once_no_stranded_waiters(
     sim_sanitizer.install(session)
     try:
         harness = mux_harness(ib, window=4)
+        harness.conf.set("ipc.client.async.enabled", async_on)
         harness.conf.set("ipc.client.call.max.retries", 0)
         harness.service.delay_us = 300_000.0
         outcomes = []
@@ -99,8 +106,12 @@ def test_close_fails_whole_window_exactly_once_no_stranded_waiters(
 
         def closer():
             yield env.timeout(50_000.0)
-            conn = the_mux(harness)
-            assert conn._inflight_ids and conn._send_queue  # both populated
+            (conn,) = harness.client._connections.values()
+            if async_on:
+                mux = the_mux(harness)
+                assert mux._inflight_ids and mux._send_queue  # both populated
+            else:
+                assert len(conn.calls) == 12  # all sent, none answered
             conn.close()
 
         procs.append(env.process(closer(), name="closer"))

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 from repro.io.writables import BytesWritable, Text
 from repro.rpc.call import Call
 from repro.rpc.frames import BATCH_CALL_ID, batch_frame_chunks, call_frame_bytes
-from repro.rpc.mux import ConnectionMux, MuxSocketConnection
+from repro.rpc.client import SocketConnection
+from repro.rpc.mux import Multiplexer
 from repro.rpc.server import Server
 
 from tests.faults.conftest import faulted_harness
@@ -95,12 +96,13 @@ def test_inflight_bounded_and_every_call_settles_once(window, delays, ib):
     assert sorted(i for i, _ in done) == list(range(len(delays)))
     assert all(got == Text(f"q{i}") for i, got in done)
     (conn,) = harness.client._connections.values()
-    assert isinstance(conn, ConnectionMux)
-    assert conn.max_inflight_seen <= window
-    assert conn.calls_batched == 2 * len(delays)
+    mux = conn.mux
+    assert isinstance(mux, Multiplexer)
+    assert mux.max_inflight_seen <= window
+    assert mux.calls_batched == 2 * len(delays)
     # exactly-once settlement, and nothing left registered or queued
     assert sorted(counts.values()) == [1] * (2 * len(delays))
-    assert not conn.calls and not conn._inflight_ids and not conn._send_queue
+    assert not conn.calls and not mux._inflight_ids and not mux._send_queue
 
 
 @given(
@@ -108,22 +110,27 @@ def test_inflight_bounded_and_every_call_settles_once(window, delays, ib):
     ncallers=st.integers(min_value=1, max_value=16),
     break_at=st.integers(min_value=5_000, max_value=400_000),
     service_us=st.integers(min_value=1_000, max_value=300_000),
+    ib=st.booleans(),
+    async_on=st.booleans(),
+    close_at=st.none() | st.integers(min_value=0, max_value=400_000),
 )
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=20, deadline=None)
 def test_every_call_settles_once_under_qp_break_schedules(
-    window, ncallers, break_at, service_us
+    window, ncallers, break_at, service_us, ib, async_on, close_at
 ):
     """Random fault schedules: a QP break at any time — before, during,
-    or after the window is in flight — leaves no caller hanging and no
-    call settled twice (the fallback path re-issues, Call pre-defuses
-    duplicates)."""
+    or after the window is in flight — and an optional ``close()`` of
+    every client connection at any time leave no caller hanging and no
+    call settled twice (the fallback path re-issues, ``close()`` fails
+    what is outstanding, Call pre-defuses duplicates).  Both engines,
+    multiplexed and call-at-a-time."""
     counts, restore = _settle_counter()
     try:
         with faulted_harness(
             {"kind": "qp_break", "at": break_at, "node": "server"},
-            ib=True,
+            ib=ib,
         ) as harness:
-            harness.conf.set("ipc.client.async.enabled", True)
+            harness.conf.set("ipc.client.async.enabled", async_on)
             harness.conf.set("ipc.client.async.max-inflight", window)
             harness.service.delay_us = float(service_us)
             env = harness.env
@@ -141,6 +148,13 @@ def test_every_call_settles_once_under_qp_break_schedules(
                 env.process(caller(i), name=f"caller{i}")
                 for i in range(ncallers)
             ]
+            if close_at is not None:
+
+                def closer():
+                    yield env.timeout(float(close_at))
+                    harness.client.close()
+
+                env.process(closer(), name="closer")
             env.run(env.all_of(procs))
     finally:
         restore()
@@ -176,19 +190,22 @@ def test_real_encoder_matches_the_canonical_batch_bytes(nc):
     the same encoded call payloads."""
     harness = _mux_harness(ib=False, window=max(2, nc))
     env = harness.env
-    captured = []
-    original_send_batch = MuxSocketConnection._send_batch
+    batch_payloads, batch_bytes = [], []
+    original_frame_batch = SocketConnection._frame_batch
+    original_write_batch = SocketConnection._write_batch
 
-    def capturing_send_batch(self, batch):
+    def capturing_frame_batch(self, entries, ledger):
+        batch_payloads.append([bytes(payload[:length]) for payload, length in entries])
+        return original_frame_batch(self, entries, ledger)
+
+    def capturing_write_batch(self, chunks, refs):
         sent_before = self.sock.bytes_sent
-        yield from original_send_batch(self, batch)
-        captured.append((
-            [bytes(entry[1][: entry[2]]) for entry in batch],
-            self.sock.bytes_sent - sent_before,
-        ))
+        yield from original_write_batch(self, chunks, refs)
+        batch_bytes.append(self.sock.bytes_sent - sent_before)
 
     sends = []
-    MuxSocketConnection._send_batch = capturing_send_batch
+    SocketConnection._frame_batch = capturing_frame_batch
+    SocketConnection._write_batch = capturing_write_batch
     try:
 
         def caller(i):
@@ -215,9 +232,12 @@ def test_real_encoder_matches_the_canonical_batch_bytes(nc):
         finally:
             simsockets.SimSocket.send = original_send
     finally:
-        MuxSocketConnection._send_batch = original_send_batch
+        SocketConnection._frame_batch = original_frame_batch
+        SocketConnection._write_batch = original_write_batch
 
-    assert captured and len(sends) >= len(captured)
+    captured = list(zip(batch_payloads, batch_bytes))
+    assert captured and len(captured) == len(batch_payloads)
+    assert len(sends) >= len(captured)
     batch_sends = [w for w in sends if len(w) >= 8]
     for (payloads, nbytes), wire in zip(captured, batch_sends):
         expected = b"".join(bytes(c) for c in batch_frame_chunks(payloads))
